@@ -1,26 +1,26 @@
 #!/usr/bin/env python
-"""Denoiser-inference smoke: per-forward latency and steps/s per engine.
+"""Denoiser-inference smoke: per-forward latency and steps/s per dtype.
 
 Benchmarks the sampling-path denoiser stack in isolation — no dataset, no
 codec fit — by fabricating a pipeline with randomly initialised (but
 deterministic) weights and timing ``sample_latents`` at tiny/quick
-presets.  Rows are recorded per inference engine (``eager`` vs the
-compiled plan selected by ``REPRO_INFER=compiled``) and per dtype, so the
-artifact tracks the compiled-engine speedup against the committed eager
-baseline.
+presets.  Rows are recorded per dtype for the compiled plan (the only
+sampler engine), so the artifact tracks its speedup against the
+committed eager baseline.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/denoiser_smoke.py --preset quick
     PYTHONPATH=src python benchmarks/denoiser_smoke.py --preset tiny \
-        --modes eager compiled --parity-check
+        --parity-check
 
 The artifact keeps a ``baseline`` section per preset (written the first
 time a preset is benchmarked — on the pre-compiled-engine tree — then
 preserved verbatim) next to the ``current`` section (overwritten each
 run), plus the steps/s speedup of every current row over the baseline
 eager row of the same dtype.  ``--parity-check`` additionally samples
-float64 latents under both engines with identical RNG streams and exits
+float64 latents on the pipeline and on the eager autograd tape
+(``tests/eager_oracle.py``) with identical RNG streams and exits
 non-zero unless they are bitwise identical — the CI gate for the
 compiled engine.
 """
@@ -34,7 +34,6 @@ import bench_env  # noqa: E402  (same directory as this script)
 bench_env.pin_blas_threads()
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -55,6 +54,8 @@ PRESETS = {
 }
 
 CLASS = "bench"
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def build_pipeline(spec: dict, seed: int = 0):
@@ -102,15 +103,6 @@ def build_pipeline(spec: dict, seed: int = 0):
     return pipeline
 
 
-def _mode_context(mode: str):
-    """Engine-selection context; 'eager' works on pre-engine trees too."""
-    if mode == "eager":
-        return contextlib.nullcontext()
-    from repro.core import infer
-
-    return infer.use_infer_mode(mode)
-
-
 def _sample(pipeline, spec, dtype, seed: int = 123) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return pipeline.sample_latents(
@@ -119,7 +111,7 @@ def _sample(pipeline, spec, dtype, seed: int = 123) -> np.ndarray:
     )
 
 
-def bench_mode(pipeline, spec, mode: str, dtype, repeats: int) -> dict:
+def bench_dtype(pipeline, spec, dtype, repeats: int) -> dict:
     from repro import perf
 
     n_flows = spec["n_flows"]
@@ -127,22 +119,21 @@ def bench_mode(pipeline, spec, mode: str, dtype, repeats: int) -> dict:
     batches = -(-n_flows // batch)
     forwards = spec["ddim_steps"] * batches
 
-    with _mode_context(mode):
-        _sample(pipeline, spec, dtype)  # warm caches / workspaces
-        best = float("inf")
-        misses = hits = 0
-        for _ in range(repeats):
-            miss0 = perf.counter("infer.ws_miss")
-            hit0 = perf.counter("infer.ws_hit")
-            start = time.perf_counter()
-            _sample(pipeline, spec, dtype)
-            elapsed = time.perf_counter() - start
-            if elapsed < best:
-                best = elapsed
-                misses = perf.counter("infer.ws_miss") - miss0
-                hits = perf.counter("infer.ws_hit") - hit0
+    _sample(pipeline, spec, dtype)  # warm caches / workspaces
+    best = float("inf")
+    misses = hits = 0
+    for _ in range(repeats):
+        miss0 = perf.counter("infer.ws_miss")
+        hit0 = perf.counter("infer.ws_hit")
+        start = time.perf_counter()
+        _sample(pipeline, spec, dtype)
+        elapsed = time.perf_counter() - start
+        if elapsed < best:
+            best = elapsed
+            misses = perf.counter("infer.ws_miss") - miss0
+            hits = perf.counter("infer.ws_hit") - hit0
     return {
-        "mode": mode,
+        "mode": "compiled",
         "dtype": "fp32" if dtype is not None else "fp64",
         "steps": spec["ddim_steps"],
         "batches": batches,
@@ -157,11 +148,14 @@ def bench_mode(pipeline, spec, mode: str, dtype, repeats: int) -> dict:
 
 
 def parity_check(pipeline, spec) -> bool:
-    """fp64 latents must be bitwise identical across engines."""
-    with _mode_context("eager"):
-        ref = _sample(pipeline, spec, None, seed=7)
-    with _mode_context("compiled"):
-        got = _sample(pipeline, spec, None, seed=7)
+    """fp64 latents must be bitwise identical to the eager tape."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from eager_oracle import eager_sample_latents
+
+    ref = eager_sample_latents(
+        pipeline, CLASS, spec["n_flows"], steps=spec["ddim_steps"],
+        rng=np.random.default_rng(7))
+    got = _sample(pipeline, spec, None, seed=7)
     ok = ref.dtype == got.dtype and np.array_equal(ref, got)
     print(f"parity fp64 eager-vs-compiled: {'OK' if ok else 'MISMATCH'}")
     if not ok:
@@ -194,10 +188,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(PRESETS),
     )
     parser.add_argument(
-        "--modes", nargs="+", default=["eager"],
-        choices=["eager", "compiled"],
-    )
-    parser.add_argument(
         "--repeats", type=int, default=5,
         help="timed repetitions per row; the best is recorded, damping "
         "scheduler noise on shared machines",
@@ -208,8 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--out",
-        default=str(Path(__file__).resolve().parent.parent
-                    / "BENCH_denoiser.json"),
+        default=str(ROOT / "BENCH_denoiser.json"),
     )
     parser.add_argument(
         "--rebaseline", action="store_true",
@@ -221,18 +210,17 @@ def main(argv: list[str] | None = None) -> int:
     pipeline = build_pipeline(spec)
 
     rows = []
-    for mode in args.modes:
-        for dtype in (None, np.float32):
-            row = bench_mode(pipeline, spec, mode, dtype, args.repeats)
-            rows.append(row)
-            print(
-                f"{row['mode']:>8s} {row['dtype']}: "
-                f"{row['ms_per_forward']:8.3f} ms/forward  "
-                f"{row['steps_per_second']:9.1f} steps/s  "
-                f"{row['flows_per_second']:9.1f} flows/s  "
-                f"ws miss/hit {row['workspace_misses_steady']}"
-                f"/{row['workspace_hits_steady']}"
-            )
+    for dtype in (None, np.float32):
+        row = bench_dtype(pipeline, spec, dtype, args.repeats)
+        rows.append(row)
+        print(
+            f"{row['mode']:>8s} {row['dtype']}: "
+            f"{row['ms_per_forward']:8.3f} ms/forward  "
+            f"{row['steps_per_second']:9.1f} steps/s  "
+            f"{row['flows_per_second']:9.1f} flows/s  "
+            f"ws miss/hit {row['workspace_misses_steady']}"
+            f"/{row['workspace_hits_steady']}"
+        )
 
     section = {
         "preset": args.preset,

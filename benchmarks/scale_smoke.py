@@ -307,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.core.infer import infer_mode
 
     spec = SCALE_PRESETS[args.preset]
     print(f"fitting pipeline ({args.preset} preset) ...", flush=True)
@@ -315,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
 
     current: dict[str, dict] = {
         "preset": args.preset,
-        "infer_mode": infer_mode(),
+        "infer_mode": "compiled",  # the only engine
         "modes": {},
     }
     mode_plan: list[tuple[str, int | None]] = [

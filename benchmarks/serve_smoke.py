@@ -289,7 +289,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.core.infer import infer_mode
 
     spec = SERVE_PRESETS[args.preset]
     print(f"fitting pipeline ({args.preset} preset) ...", flush=True)
@@ -297,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
 
     current: dict = {
         "preset": args.preset,
-        "infer_mode": infer_mode(),
+        "infer_mode": "compiled",  # the only engine
         "server_seed": args.seed,
         "modes": {},
     }

@@ -5,15 +5,14 @@ Benchmarks ``Pipeline._training_loop`` in isolation — no dataset, no
 codec fit — by fabricating a pipeline with deterministic random weights
 plus synthetic latents/prompts/structure masks, then timing the base and
 ControlNet training phases at tiny/quick presets.  Rows are recorded per
-training engine (``eager`` vs the compiled plan selected by
-``REPRO_TRAIN=compiled``), so the artifact tracks the compiled-engine
-speedup against the committed eager baseline.
+phase for the compiled plan (the only fit engine), so the artifact
+tracks its speedup against the committed eager baseline.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/train_smoke.py --preset quick
     PYTHONPATH=src python benchmarks/train_smoke.py --preset tiny \
-        --modes eager compiled --parity-check
+        --parity-check
 
 The artifact keeps a ``baseline`` section per preset (written the first
 time a preset is benchmarked — on the pre-compiled-engine tree — then
@@ -21,11 +20,9 @@ preserved verbatim) next to the ``current`` section (overwritten each
 run), plus the steps/s speedup of every current row over the baseline
 eager row of the same phase.  Every row carries a ``loss_digest`` (SHA-256
 over the float64 loss history) and a ``weights_digest`` (over the post-fit
-parameters); whenever two modes run the same phase, the run fails unless
-the digests agree — training engines must be bitwise-interchangeable.
-``--parity-check`` makes a digest mismatch exit non-zero even without
-both modes in ``--modes`` by running the eager reference itself — the CI
-gate for the compiled engine.
+parameters).  ``--parity-check`` also runs each phase on the eager
+autograd tape (``tests/eager_oracle.py``) and exits non-zero unless the
+digests agree bitwise — the CI gate for the compiled engine.
 """
 
 from __future__ import annotations
@@ -46,6 +43,8 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PRESETS = {
     "tiny": dict(
@@ -118,12 +117,13 @@ def build_data(spec: dict, seed: int = 1):
 
 
 def _mode_context(mode: str):
-    """Engine-selection context; 'eager' works on pre-engine trees too."""
-    if mode == "eager":
+    """The compiled engine, or the eager tape for the parity reference."""
+    if mode == "compiled":
         return contextlib.nullcontext()
-    from repro.core import train
+    sys.path.insert(0, str(ROOT / "tests"))
+    from eager_oracle import eager_training
 
-    return train.use_train_mode(mode)
+    return eager_training()
 
 
 def _digest(arrays) -> str:
@@ -232,23 +232,18 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(PRESETS),
     )
     parser.add_argument(
-        "--modes", nargs="+", default=["eager"],
-        choices=["eager", "compiled"],
-    )
-    parser.add_argument(
         "--repeats", type=int, default=3,
         help="timed repetitions per row; the best is recorded, damping "
         "scheduler noise on shared machines",
     )
     parser.add_argument(
         "--parity-check", action="store_true",
-        help="exit non-zero unless every mode's fp64 loss and post-fit "
-        "weight digests match the eager reference bitwise",
+        help="exit non-zero unless the fp64 loss and post-fit weight "
+        "digests match the eager tape bitwise",
     )
     parser.add_argument(
         "--out",
-        default=str(Path(__file__).resolve().parent.parent
-                    / "BENCH_train.json"),
+        default=str(ROOT / "BENCH_train.json"),
     )
     parser.add_argument(
         "--rebaseline", action="store_true",
@@ -257,9 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     spec = PRESETS[args.preset]
-    modes = list(args.modes)
-    if args.parity_check and "eager" not in modes:
-        modes.insert(0, "eager")
+    modes = ["eager", "compiled"] if args.parity_check else ["compiled"]
 
     rows = []
     for mode in modes:

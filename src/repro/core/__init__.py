@@ -15,24 +15,13 @@ from repro.core.controlnet import (
 from repro.core.ddim import DDIMSampler, ddim_timesteps
 from repro.core.ddpm import GaussianDiffusion
 from repro.core.denoiser import ConditionalDenoiser, sinusoidal_time_embedding
-from repro.core.infer import (
-    CompiledDenoiser,
-    compile_denoiser,
-    infer_mode,
-    set_infer_mode,
-    use_infer_mode,
-)
-from repro.core.train import (
-    CompiledTrainer,
-    compile_training,
-    set_train_mode,
-    train_mode,
-    use_train_mode,
-)
+from repro.core.infer import CompiledDenoiser, compile_denoiser
+from repro.core.train import CompiledTrainer, compile_training
 from repro.core.lora import LoRALinear, inject_lora, lora_parameters, merge_lora
 from repro.core.pipeline import (
     NULL_PROMPT,
     GenerationResult,
+    NonFiniteLatentsError,
     PipelineConfig,
     TextToTrafficPipeline,
 )
@@ -63,14 +52,8 @@ __all__ = [
     "sinusoidal_time_embedding",
     "CompiledDenoiser",
     "compile_denoiser",
-    "infer_mode",
-    "set_infer_mode",
-    "use_infer_mode",
     "CompiledTrainer",
     "compile_training",
-    "train_mode",
-    "set_train_mode",
-    "use_train_mode",
     "LatentCodec",
     "ControlNetBranch",
     "structure_mask",
@@ -87,6 +70,7 @@ __all__ = [
     "PipelineConfig",
     "TextToTrafficPipeline",
     "GenerationResult",
+    "NonFiniteLatentsError",
     "quantize_matrix",
     "repair_matrix",
     "repair_row_structure",

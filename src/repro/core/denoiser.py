@@ -58,35 +58,6 @@ def sinusoidal_time_embedding(
     return out
 
 
-#: (timestep, dim, dtype str) -> read-only (1, dim) embedding row; DDIM
-#: schedules revisit the same few dozen timesteps every chunk, so the
-#: sin/cos work is paid once per (t, dim, dtype) per process.
-_TIME_EMB_ROWS: dict[tuple[int, int, str], np.ndarray] = {}
-
-_TIME_EMB_MAX_ROWS = 4096
-
-
-def time_embedding_row(timestep: int, dim: int, dtype) -> np.ndarray:
-    """One cached sinusoidal embedding row, cast to ``dtype``.
-
-    Bitwise-identical to
-    ``sinusoidal_time_embedding([timestep], dim).astype(dtype)``; the
-    returned array is read-only and shared, so callers must broadcast or
-    copy, never write.
-    """
-    key = (int(timestep), int(dim), np.dtype(dtype).str)
-    row = _TIME_EMB_ROWS.get(key)
-    if row is None:
-        row = sinusoidal_time_embedding(
-            np.asarray([key[0]], dtype=np.int64), dim
-        ).astype(dtype, copy=False)
-        row.setflags(write=False)
-        if len(_TIME_EMB_ROWS) < _TIME_EMB_MAX_ROWS:
-            _TIME_EMB_ROWS[key] = row
-        perf.incr("denoiser.time_emb_rows")
-    return row
-
-
 class ResidualBlock(Module):
     """Pre-norm residual block with additive conditioning.
 
@@ -170,25 +141,10 @@ class ConditionalDenoiser(Module):
         perf.incr("denoiser.rows", len(z_t.data))
         # The embedding is computed in float64 for accuracy, then cast to
         # the latent dtype (identity for the float64 path) so a float32
-        # forward stays float32 end-to-end.  Samplers call with a constant
-        # timestep vector; one embedded row broadcast to n rows is
-        # bitwise-identical to embedding each row (pure elementwise math)
-        # and skips n-1 rows of sin/cos per forward.  The row itself is
-        # cached per (timestep, dim, dtype), so repeated chunks/batches
-        # of a DDIM schedule skip the sin/cos entirely.
-        t_arr = np.asarray(t)
-        t0 = t_arr.flat[0] if t_arr.size else 0
-        if (
-            t_arr.size > 1
-            and np.all(t_arr == t0)
-            and float(t0).is_integer()
-        ):
-            row = time_embedding_row(int(t0), self.time_dim, z_t.data.dtype)
-            emb = np.broadcast_to(row, (t_arr.size, self.time_dim))
-        else:
-            emb = sinusoidal_time_embedding(t_arr, self.time_dim).astype(
-                z_t.data.dtype, copy=False
-            )
+        # forward stays float32 end-to-end.
+        emb = sinusoidal_time_embedding(t, self.time_dim).astype(
+            z_t.data.dtype, copy=False
+        )
         t_emb = Tensor(emb)
         t_hidden = self.time_proj2(self.time_proj1(t_emb).silu())
         c_hidden = self.cond_proj(cond)

@@ -29,28 +29,26 @@ Parity is a hard guarantee, not a tolerance: every kernel replicates the
 eager op sequence ufunc-for-ufunc (``sum * (1/n)`` for means,
 ``np.power(v + eps, -0.5)`` for the inverse std, ``x * (1/(1+exp(-x)))``
 for SiLU, NEP-50 Python-float scalars), so float64 compiled output is
-**bitwise identical** to the eager sampler and float32 matches the eager
-float32 tier bitwise as well.  ``tests/test_infer.py`` pins both.
+**bitwise identical** to the eager tape and float32 matches the eager
+float32 tape bitwise as well.  ``tests/test_infer.py`` pins both.
 
-Engine selection mirrors the GEMM-backend switch: ``REPRO_INFER=eager``
-(default) or ``compiled``, read lazily on first use, with
-:func:`set_infer_mode` / :func:`use_infer_mode` as programmatic
-overrides.  Module trees the compiler does not recognise (e.g. live LoRA
-adapters before :func:`~repro.core.lora.merge_lora`) raise
-:class:`CompileError` and the pipeline falls back to eager for that
-configuration, counted under ``infer.fallback_eager``.
+This engine is the only sampler behind
+:meth:`~repro.core.pipeline.TextToTrafficPipeline._eps_model`.  Module
+trees it does not recognise raise :class:`CompileError`; the pipeline
+compiles a :func:`~repro.core.lora.merge_lora`'d copy when the live
+denoiser carries LoRA adapters, so every class runs compiled.  The eager
+autograd tape (:meth:`ConditionalDenoiser.forward`) remains the oracle
+the parity tests compare against.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
 from repro import perf
-from repro.core.denoiser import ConditionalDenoiser, time_embedding_row
+from repro.core.denoiser import ConditionalDenoiser, sinusoidal_time_embedding
 from repro.ml.nn import backend as _backend
 from repro.ml.nn.modules import LayerNorm, Linear
 
@@ -59,54 +57,7 @@ __all__ = [
     "CompiledDenoiser",
     "WorkspacePool",
     "compile_denoiser",
-    "infer_mode",
-    "set_infer_mode",
-    "use_infer_mode",
 ]
-
-_MODES = ("eager", "compiled")
-
-_active_mode: str | None = None
-
-
-def infer_mode() -> str:
-    """The active inference engine: ``eager`` or ``compiled``.
-
-    Resolved from ``REPRO_INFER`` on first call (default ``eager``) and
-    cached; :func:`set_infer_mode` overrides, ``set_infer_mode(None)``
-    re-reads the environment.
-    """
-    global _active_mode
-    if _active_mode is None:
-        mode = os.environ.get("REPRO_INFER", "eager").strip().lower()
-        _active_mode = _validate_mode(mode or "eager")
-    return _active_mode
-
-
-def _validate_mode(mode: str) -> str:
-    if mode not in _MODES:
-        raise ValueError(
-            f"unknown inference mode {mode!r}; expected one of {_MODES}"
-        )
-    return mode
-
-
-def set_infer_mode(mode: str | None) -> None:
-    """Select the inference engine; ``None`` re-reads ``REPRO_INFER``."""
-    global _active_mode
-    _active_mode = None if mode is None else _validate_mode(mode)
-
-
-@contextmanager
-def use_infer_mode(mode: str | None):
-    """Temporarily switch the inference engine."""
-    global _active_mode
-    previous = _active_mode
-    set_infer_mode(mode)
-    try:
-        yield
-    finally:
-        _active_mode = previous
 
 
 class CompileError(TypeError):
@@ -331,10 +282,10 @@ class CompiledDenoiser:
     def t_hidden(self, timestep: int, rows: int) -> np.ndarray:
         """``time_proj2(silu(time_proj1(embed(t))))`` cached per (t, rows).
 
-        Computed exactly as the eager constant-t branch does — one
-        embedded row broadcast to ``rows`` — then projected once and
-        reused for every forward at this (timestep, batch) for the
-        lifetime of the engine.
+        One embedded row broadcast to ``rows`` (bitwise what the eager
+        forward computes row by row: the embedding is elementwise), then
+        projected once and reused for every forward at this (timestep,
+        batch) for the lifetime of the engine.
         """
         key = (int(timestep), int(rows))
         cached = self._t_hidden.get(key)
@@ -342,7 +293,9 @@ class CompiledDenoiser:
             perf.incr("infer.t_cache_hit")
             return cached
         perf.incr("infer.t_cache_miss")
-        row = time_embedding_row(key[0], self.time_dim, self.dtype)
+        row = sinusoidal_time_embedding(
+            np.asarray([key[0]], dtype=np.int64), self.time_dim
+        ).astype(self.dtype, copy=False)
         emb = np.broadcast_to(row, (rows, self.time_dim))
         h1 = _backend.matmul(emb, self.time_proj1.w)
         if self.time_proj1.b is not None:
@@ -480,8 +433,8 @@ class CompiledDenoiser:
             c_h = self.cond_hidden(cond2)
             ctrl = None
             if controls is not None:
-                # Null half receives zero injections (controls=None
-                # semantics), exactly as the eager fused-CFG path does.
+                # Null half receives zero injections: bitwise the
+                # unconditional forward with controls=None.
                 ctrl = [
                     np.concatenate([ci, np.zeros_like(ci)], axis=0)
                     for ci in controls

@@ -20,6 +20,7 @@ Typical use::
 
 from __future__ import annotations
 
+import copy
 import os
 import shutil
 import tempfile
@@ -38,7 +39,7 @@ from repro.core import train as _train
 from repro.core.ddim import DDIMSampler
 from repro.core.ddpm import GaussianDiffusion
 from repro.core.denoiser import ConditionalDenoiser
-from repro.core.lora import inject_lora, lora_parameters
+from repro.core.lora import inject_lora, lora_parameters, merge_lora
 from repro.core.postprocess import (
     channel_to_gaps,
     gaps_to_channel,
@@ -68,6 +69,25 @@ _SHARD_SALT = 0x5EED5EED
 #: archive path -> loaded pipeline, memoised per worker process so each
 #: worker pays the fitted-pipeline load exactly once
 _WORKER_PIPELINES: dict[str, "TextToTrafficPipeline"] = {}
+
+
+class NonFiniteLatentsError(FloatingPointError):
+    """A sampler batch produced NaN or infinite latents.
+
+    Raised before decode, so a numerical fault never turns into
+    garbage packets; counted as ``pipeline.nonfinite_batches``.
+    """
+
+
+def _check_finite(latents: np.ndarray) -> None:
+    """Raise :class:`NonFiniteLatentsError` unless every latent is finite."""
+    finite = np.isfinite(latents).all(axis=1)
+    if not finite.all():
+        perf.incr("pipeline.nonfinite_batches")
+        bad = len(finite) - int(np.count_nonzero(finite))
+        raise NonFiniteLatentsError(
+            f"{bad} of {len(finite)} sampled latent rows are not finite"
+        )
 
 
 def _shard_chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -462,7 +482,18 @@ class TextToTrafficPipeline:
         verbose: bool,
         tag: str,
         ema: list | None = None,
+        eager: bool = False,
     ) -> list[float]:
+        """Run ``steps`` optimizer steps; returns the loss history.
+
+        The compiled engine (:func:`repro.core.train.compile_training`)
+        runs every phase it accepts and raises
+        :class:`~repro.core.infer.CompileError` for anything else.
+        ``eager=True`` selects the autograd tape instead: the engine for
+        LoRA fine-tuning (:meth:`add_class`) and the oracle the parity
+        tests compare the compiled engine against.  Both consume the
+        same RNG stream and produce bitwise-identical fp64 losses.
+        """
         cfg = self.config
         n = len(latents)
         history: list[float] = []
@@ -482,28 +513,20 @@ class TextToTrafficPipeline:
         )
         row_lens = mask_table.sum(axis=1).astype(np.int64)
         batch_size = min(cfg.batch_size, n)
-        # Compiled engine: walk the module tree once into a fused
-        # forward+backward+update plan (bitwise-identical fp64 losses
-        # and weights, same RNG stream).  Trees or optimizer states the
-        # compiler rejects — live LoRA adapters during add_class, a
-        # frozen-parameter mix — fall back to the eager tape below.
         trainer = None
-        if _train.train_mode() == "compiled":
-            try:
-                with perf.timer("pipeline.compile_training"):
-                    trainer = _train.compile_training(
-                        self.denoiser,
-                        self.prompt_encoder,
-                        optimizer,
-                        controlnet=(
-                            self.controlnet
-                            if use_control and masks is not None
-                            else None
-                        ),
-                        ema=ema,
-                    )
-            except _train.CompileError:
-                perf.incr("train.fallback_eager")
+        if not eager:
+            with perf.timer("pipeline.compile_training"):
+                trainer = _train.compile_training(
+                    self.denoiser,
+                    self.prompt_encoder,
+                    optimizer,
+                    controlnet=(
+                        self.controlnet
+                        if use_control and masks is not None
+                        else None
+                    ),
+                    ema=ema,
+                )
         if trainer is not None:
             # Steady-state batch-prep buffers for the compiled branch:
             # gathers and the forward-noising products write through
@@ -621,34 +644,33 @@ class TextToTrafficPipeline:
         return clones
 
     def _infer_engine(self, dtype):
-        """The cached :class:`~repro.core.infer.CompiledDenoiser`, or None.
+        """The cached :class:`~repro.core.infer.CompiledDenoiser`.
 
-        Built once per dtype from the same modules the eager path uses
-        and invalidated alongside the cast cache whenever the weights
-        change (fit / add_class).  ``None`` is cached when the module
-        tree is not compilable — live LoRA adapters before
-        ``merge_lora`` — so the eager fallback is decided once, not per
-        batch.
+        Built once per dtype from the inference modules and invalidated
+        alongside the cast cache whenever the weights change (fit /
+        add_class).  A denoiser carrying LoRA adapters (after
+        :meth:`add_class`) is compiled from a merged copy; the live tree
+        keeps its adapters so fine-tuning can continue.
         """
         engines = getattr(self, "_infer_engines", None)
         if engines is None:
             engines = self._infer_engines = {}
         key = np.dtype(dtype or np.float64).str
-        if key not in engines:
+        engine = engines.get(key)
+        if engine is None:
             _, denoiser, _ = self._inference_modules(dtype)
-            try:
-                with perf.timer("pipeline.compile_denoiser"):
-                    engines[key] = _infer.compile_denoiser(
-                        denoiser,
-                        batch=self.config.generation_batch,
-                        dtype=dtype,
-                    )
-            except _infer.CompileError:
-                perf.incr("infer.fallback_eager")
-                engines[key] = None
-        return engines[key]
+            with perf.timer("pipeline.compile_denoiser"):
+                if lora_parameters(denoiser):
+                    denoiser = copy.deepcopy(denoiser)
+                    merge_lora(denoiser)
+                engine = engines[key] = _infer.compile_denoiser(
+                    denoiser,
+                    batch=self.config.generation_batch,
+                    dtype=dtype,
+                )
+        return engine
 
-    def _compiled_eps_model(
+    def _eps_model(
         self,
         prompt: str,
         n: int,
@@ -656,7 +678,14 @@ class TextToTrafficPipeline:
         guidance_weight: float,
         dtype=None,
     ):
-        """Compiled-engine eps closure, or None to fall back to eager.
+        """Closure evaluating (classifier-free-guided) noise prediction.
+
+        Prompts and the control mask are loop-invariant across DDIM
+        steps, so their encodings are hoisted out of the closure.  With
+        guidance on, the conditional and unconditional passes are fused
+        into a single ``2n``-row forward of the compiled plan
+        (:mod:`repro.core.infer`); the null half receives zero control
+        injections, reproducing ``controls=None``.
 
         Closures are cached on the engine per (prompt, rows, weight,
         masked) — the projected class conditioning, ControlNet
@@ -665,8 +694,6 @@ class TextToTrafficPipeline:
         streaming run pays the conditioning hoist exactly once.
         """
         engine = self._infer_engine(dtype)
-        if engine is None:
-            return None
         key = (prompt, int(n), float(guidance_weight), mask is not None)
         cached = engine.eps_cache.get(key)
         if cached is not None:
@@ -681,6 +708,8 @@ class TextToTrafficPipeline:
             )
             controls_full = None
             if mask is not None and controlnet is not None:
+                # broadcast_to yields a read-only zero-stride view;
+                # materialize it so the batch is a normal writable array.
                 mask_batch = np.ascontiguousarray(
                     np.broadcast_to(mask, (n, mask.shape[0]))
                 )
@@ -691,81 +720,6 @@ class TextToTrafficPipeline:
             cond_full, null_full, guidance_weight,
             controls=controls_full, key=key,
         )
-
-    def _eps_model(
-        self,
-        prompt: str,
-        n: int,
-        mask: np.ndarray | None,
-        guidance_weight: float,
-        dtype=None,
-    ):
-        """Closure evaluating (classifier-free-guided) noise prediction.
-
-        Fast path: prompts and the control mask are loop-invariant across
-        DDIM steps, so their encodings are hoisted out of the closure and
-        computed exactly once per sampler batch.  With guidance on, the
-        conditional and unconditional denoiser passes are fused into a
-        single ``2m``-row forward (the null half receives zero control
-        injections, reproducing ``controls=None``) — one denoiser call per
-        step instead of two, and zero prompt/ControlNet re-encodes inside
-        the step loop.
-
-        Under ``REPRO_INFER=compiled`` the closure instead comes from the
-        no-tape compiled plan (:mod:`repro.core.infer`) — bitwise-equal
-        at float64, conditioning cached across chunks — with a silent
-        eager fallback when the module tree is not compilable.
-        """
-        if _infer.infer_mode() == "compiled":
-            compiled = self._compiled_eps_model(
-                prompt, n, mask, guidance_weight, dtype=dtype
-            )
-            if compiled is not None:
-                return compiled
-        prompt_encoder, denoiser, controlnet = self._inference_modules(dtype)
-        with perf.timer("pipeline.hoist_conditioning"):
-            cond_full = prompt_encoder([prompt] * n).data
-            null_full = (
-                prompt_encoder([NULL_PROMPT] * n).data
-                if guidance_weight > 0 else None
-            )
-            controls_full = None
-            if mask is not None and controlnet is not None:
-                # broadcast_to yields a read-only zero-stride view;
-                # materialize it so downstream reshapes are cheap and the
-                # batch is a normal writable array.
-                mask_batch = np.ascontiguousarray(
-                    np.broadcast_to(mask, (n, mask.shape[0]))
-                )
-                if dtype is not None:
-                    mask_batch = mask_batch.astype(dtype, copy=False)
-                controls_full = [c.data for c in controlnet(mask_batch)]
-
-        def eps(x_t: np.ndarray, t: np.ndarray) -> np.ndarray:
-            m = len(x_t)
-            if guidance_weight <= 0:
-                controls = None
-                if controls_full is not None:
-                    controls = [Tensor(c[:m]) for c in controls_full]
-                return denoiser(
-                    Tensor(x_t), t, Tensor(cond_full[:m]), controls
-                ).data
-            # Fused classifier-free guidance: [cond rows; null rows].
-            x2 = np.concatenate([x_t, x_t], axis=0)
-            t2 = np.concatenate([t, t], axis=0)
-            c2 = Tensor(np.concatenate([cond_full[:m], null_full[:m]], axis=0))
-            controls2 = None
-            if controls_full is not None:
-                controls2 = [
-                    Tensor(np.concatenate(
-                        [c[:m], np.zeros_like(c[:m])], axis=0))
-                    for c in controls_full
-                ]
-            out = denoiser(Tensor(x2), t2, c2, controls2).data
-            eps_cond, eps_null = out[:m], out[m:]
-            return (1 + guidance_weight) * eps_cond - guidance_weight * eps_null
-
-        return eps
 
     def sample_latents(
         self,
@@ -781,7 +735,9 @@ class TextToTrafficPipeline:
 
         ``dtype=np.float32`` runs the whole denoiser stack in single
         precision (the fast inference tier); ``None`` keeps the float64
-        default bit-for-bit.  The RNG stream is dtype-independent.
+        default bit-for-bit.  The RNG stream is dtype-independent.  A
+        sampler batch with non-finite latents raises
+        :class:`NonFiniteLatentsError`.
         """
         self._require_fitted()
         if n < 1:
@@ -803,6 +759,7 @@ class TextToTrafficPipeline:
                                       dtype=dtype)
                 z = sampler.sample(eps, (batch, self.codec.latent_dim), rng,
                                    steps=steps, dtype=dtype)
+                _check_finite(z)
                 out.append(z)
                 remaining -= batch
         perf.incr("pipeline.sampled_flows", n)
@@ -1125,7 +1082,9 @@ class TextToTrafficPipeline:
         options, for ``count <= generation_batch`` — whatever the other
         parts in the group are, and in whatever order they appear.  This
         is what lets the serving tier micro-batch concurrent requests
-        without perturbing any single request's output.
+        without perturbing any single request's output.  Non-finite
+        latents anywhere in the group raise :class:`NonFiniteLatentsError`
+        before any part is decoded.
         """
         self._require_fitted()
         if class_name not in self.class_masks:
@@ -1153,6 +1112,7 @@ class TextToTrafficPipeline:
                 eps, (total, self.codec.latent_dim), seg_rng,
                 steps=steps, dtype=dtype,
             )
+            _check_finite(latents)
         perf.incr("pipeline.sampled_flows", total)
         perf.incr("pipeline.coalesced_parts", len(parts))
         results: list[GenerationResult] = []
@@ -1232,9 +1192,11 @@ class TextToTrafficPipeline:
         params.extend(self.prompt_encoder.parameters())
         optimizer = Adam(params, lr=cfg.learning_rate)
         prompts = [prompt] * len(flows)
+        # compile_training rejects adapter trees: LoRA trains on the tape.
         return self._training_loop(
             latents, prompts, optimizer, steps,
             use_control=False, masks=None, verbose=verbose, tag="lora",
+            eager=True,
         )
 
     def _append_class_templates(

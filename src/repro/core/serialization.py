@@ -357,15 +357,10 @@ def fit_or_load(
     ``os.replace`` so concurrent worker processes never observe a
     partial archive (worst case both fit and one write wins).
 
-    The cache key and the archive contents are independent of the
-    training engine (``REPRO_TRAIN``): compiled training is bitwise-
-    identical to the eager tape, so a compiled fit and an eager fit
-    produce interchangeable archives with the same state digest.  The
-    engine used for a cold fit is recorded only as a perf counter
-    (``pipeline.fit_train_<mode>``), never in the saved metadata.
+    Compiled training is bitwise-identical to the eager tape, so the
+    archives and state digests match those written before the compiled
+    engine became the only fit path.
     """
-    from repro.core.train import train_mode
-
     path = None
     if cache_dir is not None:
         key = pipeline_cache_key(config, flows)
@@ -377,7 +372,6 @@ def fit_or_load(
             pipeline._rng = _post_fit_rng(config)
             return pipeline
         perf.incr("pipeline.cache_miss")
-    perf.incr(f"pipeline.fit_train_{train_mode()}")
     pipeline = TextToTrafficPipeline(config)
     pipeline.fit(flows, verbose=verbose)
     if path is not None:

@@ -37,20 +37,17 @@ gradient, and the bitwise in-place Adam/EMA recipes from
 post-fit weights and therefore the fitted-pipeline cache digest are
 **bitwise identical** to the eager loop; the golden-loss tests gate it.
 
-Engine selection mirrors the inference switch: ``REPRO_TRAIN=eager``
-(default) or ``compiled``, read lazily on first use, with
-:func:`set_train_mode` / :func:`use_train_mode` as programmatic
-overrides and ``repro fit --train-mode`` on the CLI.  Module trees or
-optimizer states the compiler does not recognise (live LoRA adapters,
-a warm optimizer, frozen-parameter mixes) raise
-:class:`~repro.core.infer.CompileError` and the pipeline falls back to
-eager for that phase, counted under ``train.fallback_eager``.
+This is the only engine for the base and ControlNet phases of
+:meth:`~repro.core.pipeline.TextToTrafficPipeline.fit`.  Module trees or
+optimizer states it does not recognise (live LoRA adapters, a warm
+optimizer, frozen-parameter mixes) raise
+:class:`~repro.core.infer.CompileError`.  LoRA fine-tuning
+(:meth:`~repro.core.pipeline.TextToTrafficPipeline.add_class`) selects
+the eager autograd tape explicitly, which also stays the oracle the
+parity tests compare against.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -74,55 +71,7 @@ __all__ = [
     "CompileError",
     "CompiledTrainer",
     "compile_training",
-    "train_mode",
-    "set_train_mode",
-    "use_train_mode",
 ]
-
-_MODES = ("eager", "compiled")
-
-_active_mode: str | None = None
-
-
-def train_mode() -> str:
-    """The active training engine: ``eager`` or ``compiled``.
-
-    Resolved from ``REPRO_TRAIN`` on first call (default ``eager``) and
-    cached; :func:`set_train_mode` overrides, ``set_train_mode(None)``
-    re-reads the environment.
-    """
-    global _active_mode
-    if _active_mode is None:
-        mode = os.environ.get("REPRO_TRAIN", "eager").strip().lower()
-        _active_mode = _validate_mode(mode or "eager")
-    return _active_mode
-
-
-def _validate_mode(mode: str) -> str:
-    if mode not in _MODES:
-        raise ValueError(
-            f"unknown training mode {mode!r}; expected one of {_MODES}"
-        )
-    return mode
-
-
-def set_train_mode(mode: str | None) -> None:
-    """Select the training engine; ``None`` re-reads ``REPRO_TRAIN``."""
-    global _active_mode
-    _active_mode = None if mode is None else _validate_mode(mode)
-
-
-@contextmanager
-def use_train_mode(mode: str | None):
-    """Temporarily switch the training engine."""
-    global _active_mode
-    previous = _active_mode
-    set_train_mode(mode)
-    try:
-        yield
-    finally:
-        _active_mode = previous
-
 
 class _TrainingPool(WorkspacePool):
     """Workspace pool sized for a training step's working set.
@@ -832,7 +781,7 @@ def compile_training(
     selects the **controlnet** phase, where the frozen base propagates
     data-gradients only.  Anything else — a LoRA-adapted tree, a warm
     or non-Adam optimizer, frozen-parameter mixes — raises
-    :class:`CompileError`, and callers fall back to the eager tape.
+    :class:`CompileError`.
     """
     if type(optimizer) is not Adam:
         raise CompileError(

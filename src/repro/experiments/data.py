@@ -61,12 +61,9 @@ def fit_pipeline(
     (config, flows) pairs across table1/figure1/figure2/replay/fidelity
     and across worker processes train exactly once.
 
-    The training engine (``REPRO_TRAIN=eager|compiled``, see
-    :mod:`repro.core.train`) is deliberately *not* part of the cache
-    key: the compiled fit step is bitwise-identical to the eager tape,
-    so a cache populated under either engine serves both — a harness
-    run with ``REPRO_TRAIN=compiled`` reuses caches written by eager
-    sessions and vice versa.
+    The compiled fit step (:mod:`repro.core.train`) is bitwise-identical
+    to the eager tape, so caches written by eager fits of older checkouts
+    stay valid.
     """
     return fit_or_load(config, flows, cache_dir=get_cache_dir())
 

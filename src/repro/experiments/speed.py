@@ -84,13 +84,13 @@ def run_speed(
 
     for sampler, steps in budgets:
         rng = np.random.default_rng(config.seed + steps)
-        forwards_before = perf.counter("denoiser.forward")
+        forwards_before = perf.counter("infer.forward")
         start = time.perf_counter()
         result = pipeline.generate_raw(
             class_name, n_flows, steps=steps, rng=rng
         )
         elapsed = time.perf_counter() - start
-        forwards = perf.counter("denoiser.forward") - forwards_before
+        forwards = perf.counter("infer.forward") - forwards_before
         quantised = encode_flows(result.flows, config.pipeline.max_packets)
         fidelity = (
             bit_fidelity(real_matrices, quantised)

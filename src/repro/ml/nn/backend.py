@@ -1,9 +1,9 @@
 """Pluggable matmul backends for the nn compute tier.
 
 Every trainable model in this repository funnels its GEMMs through
-:meth:`Tensor.__matmul__` (and the inference fast path in
-:class:`repro.ml.nn.modules.Linear`).  This module makes that funnel
-pluggable:
+:meth:`Tensor.__matmul__` (and the compiled plans in
+:mod:`repro.core.infer` / :mod:`repro.core.train`).  This module makes
+that funnel pluggable:
 
 * :class:`NaiveBackend` — the default.  ``a @ b`` exactly as before, so
   the training/golden-loss paths stay bit-for-bit identical.

@@ -9,12 +9,9 @@ updates ``param.data`` in place.
 from __future__ import annotations
 
 import copy
-import sys
 
 import numpy as np
 
-from repro import perf
-from repro.ml.nn import backend as _backend
 from repro.ml.nn.autograd import Tensor, embedding_lookup
 
 
@@ -107,43 +104,8 @@ class Linear(Module):
             )
         self.in_features = in_features
         self.out_features = out_features
-        #: per-layer inference workspace; reused (refcount-guarded, same
-        #: pattern as the backend pool) when consecutive inference calls
-        #: share a row count, so the product *and* the bias broadcast
-        #: land in one standing buffer with zero allocations.
-        self._infer_ws: np.ndarray | None = None
 
     def forward(self, x: Tensor) -> Tensor:
-        if (
-            x.data.ndim == 2
-            and not x.requires_grad
-            and not x._parents
-            and not self.weight.requires_grad
-            and (self.bias is None or not self.bias.requires_grad)
-        ):
-            # Inference fast path (cast_module clones): the backend product
-            # lands in a reusable workspace and the bias is added in place
-            # on that fresh buffer — same math, two fewer allocations per
-            # layer, no tape bookkeeping.
-            data = x.data
-            ws = getattr(self, "_infer_ws", None)
-            if (
-                ws is not None
-                and ws.shape == (data.shape[0], self.out_features)
-                and ws.dtype == data.dtype
-                # Free iff only this attribute, the local binding and
-                # getrefcount's argument reference it (== 3): any caller
-                # still holding the previous result skips the reuse.
-                and sys.getrefcount(ws) == 3
-            ):
-                perf.incr("nn.linear.ws_hit")
-                out = _backend.matmul(data, self.weight.data, out=ws)
-            else:
-                out = _backend.matmul(data, self.weight.data)
-                self._infer_ws = out
-            if self.bias is not None:
-                out += self.bias.data
-            return Tensor(out)
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
@@ -255,16 +217,6 @@ def cast_module(module: Module, dtype) -> Module:
         param.requires_grad = False
         param.grad = None
         param._grad_buf = None  # drop the deep-copied float64 grad buffer
-
-    def _reset_workspaces(mod: Module) -> None:
-        # Deep-copied inference workspaces carry the source dtype; drop
-        # them so the clone does not pin dead buffers.
-        if isinstance(mod, Linear):
-            mod._infer_ws = None
-        for child in mod._modules.values():
-            _reset_workspaces(child)
-
-    _reset_workspaces(clone)
     return clone
 
 

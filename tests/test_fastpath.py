@@ -5,10 +5,11 @@ Two guarantees:
 * **Parity** — the hoisted-conditioning, fused-CFG sampler produces
   bitwise-identical latents to the pre-change per-step two-forward path
   (reimplemented here as ``_legacy_eps_model``) under a fixed rng seed.
-* **Work regression** — ``sample_latents`` performs exactly one denoiser
-  forward per DDIM step per batch, and exactly two prompt encodes plus
-  one ControlNet encode per batch (zero re-encodes inside the step
-  loop), asserted via the perf counters.
+* **Work regression** — ``sample_latents`` performs exactly one
+  compiled denoiser forward (``infer.forward``) per DDIM step per batch,
+  and one conditioning hoist — two prompt encodes plus one ControlNet
+  encode — per distinct (prompt, rows) closure (zero re-encodes inside
+  the step loop), asserted via the perf counters.
 """
 
 import numpy as np
@@ -98,20 +99,30 @@ class TestGoldenParity:
         assert np.array_equal(a, b)
 
 
+def _hoists() -> int:
+    stat = perf.get_registry().timers.get("pipeline.hoist_conditioning")
+    return stat.calls if stat is not None else 0
+
+
 class TestForwardCountRegression:
     def _counters_for(self, fitted, **kwargs):
+        fitted._invalidate_cast_cache()  # fresh engine, no cached closures
         registry = perf.get_registry()
         before = dict(registry.counters)
+        hoists0 = _hoists()
         fitted.sample_latents(**kwargs)
-        return {
+        delta = {
             name: registry.count(name) - before.get(name, 0)
             for name in (
+                "infer.forward",
                 "denoiser.forward",
                 "prompt_encoder.forward",
-                "controlnet.forward",
+                "controlnet.forward_data",
                 "pipeline.sample_batches",
             )
         }
+        delta["hoists"] = _hoists() - hoists0
+        return delta
 
     def test_one_denoiser_forward_per_step(self, fitted):
         steps = 9
@@ -120,12 +131,15 @@ class TestForwardCountRegression:
             rng=np.random.default_rng(0),
         )
         assert delta["pipeline.sample_batches"] == 1
-        # Fused CFG: one forward per DDIM step, not two.
-        assert delta["denoiser.forward"] == steps
-        # Conditioning is hoisted: cond + null prompt encodes once per
-        # batch, one ControlNet encode per batch, zero inside the loop.
+        # Fused CFG: one compiled forward per DDIM step, not two, and
+        # no autograd-tape forwards at all.
+        assert delta["infer.forward"] == steps
+        assert delta["denoiser.forward"] == 0
+        # Conditioning is hoisted once per (prompt, rows): cond + null
+        # prompt encodes and one ControlNet encode, zero inside the loop.
+        assert delta["hoists"] == 1
         assert delta["prompt_encoder.forward"] == 2
-        assert delta["controlnet.forward"] == 1
+        assert delta["controlnet.forward_data"] == 1
 
     def test_counts_scale_with_batches(self, fitted):
         steps = 6
@@ -139,9 +153,12 @@ class TestForwardCountRegression:
         finally:
             fitted.config.generation_batch = original
         assert delta["pipeline.sample_batches"] == 3
-        assert delta["denoiser.forward"] == 3 * steps
-        assert delta["prompt_encoder.forward"] == 6
-        assert delta["controlnet.forward"] == 3
+        assert delta["infer.forward"] == 3 * steps
+        # Batches of 3, 3 and 1 rows: the second 3-row batch reuses the
+        # first one's closure, so two hoists.
+        assert delta["hoists"] == 2
+        assert delta["prompt_encoder.forward"] == 4
+        assert delta["controlnet.forward_data"] == 2
 
     def test_unguided_sampling_also_one_forward_per_step(self, fitted):
         steps = 7
@@ -149,7 +166,7 @@ class TestForwardCountRegression:
             fitted, class_name="netflix", n=4, steps=steps,
             guidance_weight=0.0, rng=np.random.default_rng(0),
         )
-        assert delta["denoiser.forward"] == steps
+        assert delta["infer.forward"] == steps
         # No null branch without guidance: a single prompt encode.
         assert delta["prompt_encoder.forward"] == 1
 
@@ -193,6 +210,7 @@ class TestMaterializedMaskBatch:
             captured.append(np.asarray(mask))
             return original(mask)
 
+        fitted._invalidate_cast_cache()  # force a fresh conditioning hoist
         fitted.controlnet.pool_mask = capture
         try:
             fitted.sample_latents(

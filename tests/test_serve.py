@@ -21,8 +21,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eager_oracle import eager_sample_latents
 from repro import perf
-from repro.core.pipeline import PipelineConfig, TextToTrafficPipeline
+from repro.core.infer import CompiledDenoiser
+from repro.core.pipeline import (
+    NonFiniteLatentsError,
+    PipelineConfig,
+    TextToTrafficPipeline,
+)
 from repro.net.packet import PacketRenderer, render_flows
 from repro.net.pcap import PcapWriter
 from repro.serve import (
@@ -69,11 +75,13 @@ def _pcap_bytes(flows) -> bytes:
 
 def _solo_bytes(pipeline, server_seed: int, request_id: int,
                 count: int) -> bytes:
-    """The reference output: a lone generate_raw with the derived RNG."""
-    result = pipeline.generate_raw(
-        "netflix", count, rng=request_rng(server_seed, request_id)
-    )
-    return _pcap_bytes(result.flows)
+    """The reference output: the request generated alone, with its
+    derived RNG, by ``generate_raw``'s steps on the eager autograd tape
+    (``tests/eager_oracle.py``) instead of the compiled sampler."""
+    rng = request_rng(server_seed, request_id)
+    latents = eager_sample_latents(pipeline, "netflix", count, rng=rng)
+    return _pcap_bytes(
+        pipeline._finalize_latents(latents, "netflix", rng=rng).flows)
 
 
 def _service(fitted, **kwargs) -> GenerationService:
@@ -154,7 +162,7 @@ class TestServiceRoundtrip:
 class TestCoalescing:
     def test_concurrent_requests_share_one_forward_per_step(self, fitted):
         """4 queued requests -> 1 batch -> ddim_steps denoiser forwards
-        (the fused-CFG eager path runs one 2m-row forward per step)."""
+        (the compiled fused-CFG plan runs one 2m-row forward per step)."""
         service = _service(fitted, autostart=False, max_batch_flows=16)
         futures = [
             service.submit(GenerateRequest(
@@ -172,7 +180,8 @@ class TestCoalescing:
         assert perf.counter("serve.batched_requests") == 4
         assert perf.counter("serve.batched_flows") == 8
         assert perf.counter("pipeline.sample_batches") == 1
-        assert perf.counter("denoiser.forward") == fitted.config.ddim_steps
+        assert perf.counter("infer.forward") == fitted.config.ddim_steps
+        assert perf.counter("denoiser.forward") == 0  # no tape forwards
         assert perf.counter("serve.completed") == 4
 
     def test_batch_respects_max_batch_flows(self, fitted):
@@ -467,3 +476,56 @@ class TestModelStore:
         finally:
             service.shutdown()
         assert _pcap_bytes(result.flows) == _solo_bytes(fitted, 7, 5, 2)
+
+
+@pytest.fixture()
+def nan_engine(monkeypatch):
+    """Fault injection: every compiled forward emits NaN noise."""
+    original = CompiledDenoiser.forward
+
+    def nan_forward(self, *args, **kwargs):
+        out = original(self, *args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(CompiledDenoiser, "forward", nan_forward)
+
+
+class TestNonFiniteLatents:
+    def test_sample_latents_raises_typed_error_and_counts(
+        self, fitted, nan_engine
+    ):
+        before = perf.counter("pipeline.nonfinite_batches")
+        with pytest.raises(NonFiniteLatentsError, match="4 of 4"):
+            fitted.sample_latents(
+                "netflix", 4, steps=3, rng=np.random.default_rng(0))
+        assert perf.counter("pipeline.nonfinite_batches") - before == 1
+
+    def test_service_fails_every_request_in_the_batch(
+        self, fitted, nan_engine
+    ):
+        service = _service(fitted, autostart=False)
+        futures = [
+            service.submit(GenerateRequest(
+                request_id=rid, class_name="netflix", count=1))
+            for rid in range(3)
+        ]
+        perf.reset()
+        service.start()
+        try:
+            for f in futures:
+                with pytest.raises(NonFiniteLatentsError):
+                    f.result(timeout=60)
+        finally:
+            service.shutdown()
+        assert perf.counter("serve.batches") == 1
+        assert perf.counter("pipeline.nonfinite_batches") == 1
+        assert perf.counter("serve.errors") == 3
+        assert perf.counter("serve.completed") == 0
+
+    def test_http_maps_error_to_500(self, server, nan_engine):
+        _, url = server
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(url, {"class": "netflix", "count": 1, "request_id": 3})
+        assert err.value.code == 500
+        assert "NonFiniteLatentsError" in json.loads(err.value.read())["error"]

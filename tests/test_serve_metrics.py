@@ -197,5 +197,5 @@ class TestLiveEndpoints:
             request_id=0, class_name="netflix", count=1))
         text = _scrape(url)
         assert _counter_value(
-            text, 'repro_perf_counter_total{name="denoiser.forward"}') > 0
+            text, 'repro_perf_counter_total{name="infer.forward"}') > 0
         assert "repro_serve_request_latency_seconds_bucket" in text

@@ -15,26 +15,25 @@ engine (``tests/test_infer.py``) but is stricter — training parity is
 * **Zero allocations in steady state** — after a batch shape's plan is
   built, further steps perform no workspace-pool traffic at all
   (``infer.ws_miss`` / ``infer.ws_bytes`` pinned flat).
-* **Graceful fallback** — LoRA-adapted trees, warm or non-Adam
-  optimizers raise :class:`CompileError`; the pipeline falls back to
-  the eager tape (``train.fallback_eager``) and still matches it.
+* **Explicit eager for LoRA** — LoRA-adapted trees, warm or non-Adam
+  optimizers raise :class:`CompileError`; ``add_class`` selects the
+  eager tape itself, and a fit never falls back silently.
+
+The eager reference fits run the tape branch of ``_training_loop``
+(``eager=True``, see ``tests/eager_oracle.py``).
 """
 
 import numpy as np
 import pytest
 
+from eager_oracle import eager_training
 from repro import perf
 from repro.core.denoiser import ConditionalDenoiser
 from repro.core.lora import inject_lora, lora_parameters
 from repro.core.pipeline import PipelineConfig, TextToTrafficPipeline
 from repro.core.prompt import PromptEncoder, Vocabulary
 from repro.core.serialization import pipeline_state_digest
-from repro.core.train import (
-    CompileError,
-    compile_training,
-    train_mode,
-    use_train_mode,
-)
+from repro.core.train import CompileError, compile_training
 from repro.ml.nn import SGD, Adam
 from repro.traffic.dataset import generate_app_flows
 
@@ -58,21 +57,25 @@ def _flows():
         generate_app_flows("teams", 10, seed=3)
 
 
+def _compile_calls():
+    stat = perf.get_registry().timers.get("pipeline.compile_training")
+    return stat.calls if stat is not None else 0
+
+
 @pytest.fixture(scope="module")
 def eager():
-    with use_train_mode("eager"):
+    with eager_training():
         return TextToTrafficPipeline(_config()).fit(_flows())
 
 
 @pytest.fixture(scope="module")
 def compiled():
-    fb0 = perf.counter("train.fallback_eager")
+    compiles0 = _compile_calls()
     steps0 = perf.counter("train.compiled_step")
-    with use_train_mode("compiled"):
-        pipeline = TextToTrafficPipeline(_config()).fit(_flows())
+    pipeline = TextToTrafficPipeline(_config()).fit(_flows())
     return {
         "pipeline": pipeline,
-        "fallbacks": perf.counter("train.fallback_eager") - fb0,
+        "compiles": _compile_calls() - compiles0,
         "compiled_steps": perf.counter("train.compiled_step") - steps0,
     }
 
@@ -84,7 +87,7 @@ class TestGoldenLoss:
 
     def test_both_phases_ran_compiled(self, compiled):
         cfg = _config()
-        assert compiled["fallbacks"] == 0
+        assert compiled["compiles"] == 2  # base + ControlNet
         assert compiled["compiled_steps"] == \
             cfg.train_steps + cfg.controlnet_steps
 
@@ -110,6 +113,8 @@ class TestBitwiseParity:
             pipeline_state_digest(eager)
 
     def test_sampled_latents_identical(self, eager, compiled):
+        # Both sample on the compiled engine; the weights are what differ
+        # if the engines disagree.
         za = compiled["pipeline"].sample_latents(
             "netflix", 4, steps=6, rng=np.random.default_rng(13))
         zb = eager.sample_latents(
@@ -118,12 +123,9 @@ class TestBitwiseParity:
 
     def test_ema_fit_identical(self):
         cfg = dict(train_steps=16, controlnet_steps=8, use_ema=True)
-        with use_train_mode("eager"):
+        with eager_training():
             ref = TextToTrafficPipeline(_config(**cfg)).fit(_flows())
-        fb0 = perf.counter("train.fallback_eager")
-        with use_train_mode("compiled"):
-            fast = TextToTrafficPipeline(_config(**cfg)).fit(_flows())
-        assert perf.counter("train.fallback_eager") - fb0 == 0
+        fast = TextToTrafficPipeline(_config(**cfg)).fit(_flows())
         assert fast.training_history == ref.training_history
         for name, arr in fast.denoiser.state_dict().items():
             assert np.array_equal(arr, ref.denoiser.state_dict()[name]), name
@@ -205,25 +207,33 @@ class TestCompileErrors:
         with pytest.raises(CompileError):
             compile_training(denoiser, encoder, optimizer)
 
-    def test_mode_validation(self):
-        from repro.core.train import set_train_mode
-        with pytest.raises(ValueError):
-            set_train_mode("jit")
-        with use_train_mode("compiled"):
-            assert train_mode() == "compiled"
-
 
 class TestLoRAFallback:
     def test_add_class_falls_back_and_matches_eager(self):
+        """``add_class`` trains its adapters on the eager tape by
+        explicit selection; the compiled base fit underneath it is
+        bitwise the eager one, so both LoRA histories agree."""
         new_flows = generate_app_flows("zoom", 6, seed=5)
-        with use_train_mode("compiled"):
-            fast = TextToTrafficPipeline(
-                _config(train_steps=16, controlnet_steps=8)).fit(_flows())
-            fb0 = perf.counter("train.fallback_eager")
-            fast_hist = fast.add_class("zoom", new_flows, rank=2, steps=10)
-            assert perf.counter("train.fallback_eager") - fb0 == 1
-        with use_train_mode("eager"):
+        fast = TextToTrafficPipeline(
+            _config(train_steps=16, controlnet_steps=8)).fit(_flows())
+        steps0 = perf.counter("train.compiled_step")
+        fast_hist = fast.add_class("zoom", new_flows, rank=2, steps=10)
+        assert perf.counter("train.compiled_step") == steps0
+        with eager_training():
             ref = TextToTrafficPipeline(
                 _config(train_steps=16, controlnet_steps=8)).fit(_flows())
             ref_hist = ref.add_class("zoom", new_flows, rank=2, steps=10)
         assert fast_hist == ref_hist
+
+    def test_training_loop_on_an_adapter_tree_raises(self):
+        """No silent fallback: a compile rejection surfaces as an error."""
+        pipeline = TextToTrafficPipeline(
+            _config(train_steps=4, controlnet_steps=2)).fit(_flows())
+        inject_lora(pipeline.denoiser, rank=2, rng=np.random.default_rng(1))
+        optimizer = Adam(lora_parameters(pipeline.denoiser), lr=1e-3)
+        latents = np.zeros((4, pipeline.codec.latent_dim))
+        prompts = [pipeline.codebook.prompt_for("netflix")] * 4
+        with pytest.raises(CompileError):
+            pipeline._training_loop(
+                latents, prompts, optimizer, 1, use_control=False,
+                masks=None, verbose=False, tag="lora")
