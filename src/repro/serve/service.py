@@ -42,8 +42,8 @@ from repro import perf
 
 #: RNG stream salt for the serving tier.  Distinct from the sharded
 #: generation salt (0x5EED5EED) so a served request can never collide
-#: with a shard stream; ``benchmarks/serve_smoke.py`` carries a local
-#: copy that must stay equal (pinned by tests/test_serve.py).
+#: with a shard stream.  Every served byte derives from it, so its
+#: output is pinned by a golden value in tests/test_serve.py.
 SERVE_SALT = 0x5E57E5
 
 #: bucket bounds for the batch-size histograms (requests / flows per batch)

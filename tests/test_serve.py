@@ -11,12 +11,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import sys
 import threading
 import time
 import urllib.error
 import urllib.request
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,8 +42,6 @@ from repro.serve import (
 )
 from repro.serve.http import TrafficServer
 from repro.traffic.dataset import generate_app_flows
-
-_BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def _train_flows():
@@ -103,19 +99,15 @@ class TestRequestRng:
     def test_salt_distinct_from_shard_salt(self):
         assert SERVE_SALT != 0x5EED5EED
 
-    def test_benchmark_harness_salt_matches(self):
-        """benchmarks/serve_smoke.py carries a local copy of the
-        derivation (the pre-service baseline predates repro.serve); the
-        streams must stay identical or its cross-mode digest check
-        silently weakens."""
-        sys.path.insert(0, str(_BENCHMARKS))
-        try:
-            import serve_smoke
-        finally:
-            sys.path.pop(0)
-        ours = request_rng(11, 42).standard_normal(16)
-        theirs = serve_smoke._request_rng(11, 42).standard_normal(16)
-        assert np.array_equal(ours, theirs)
+    def test_stream_is_pinned(self):
+        """Every served byte derives from this stream: a change to
+        SERVE_SALT or to the derivation must fail here, not silently
+        change what a server with a given seed returns."""
+        assert np.array_equal(
+            request_rng(11, 42).standard_normal(4),
+            [0.14266286564345657, -0.21543514424482768,
+             -1.2968526335341428, -0.6470844709189154],
+        )
 
 
 class TestServiceRoundtrip:
