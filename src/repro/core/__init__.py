@@ -28,10 +28,10 @@ from repro.core.pipeline import (
 from repro.core.postprocess import (
     channel_to_gaps,
     gaps_to_channel,
+    matrices_to_flows,
     matrix_to_flow,
     quantize_matrix,
     repair_matrix,
-    repair_row_structure,
 )
 from repro.core.prompt import PromptCodebook, PromptEncoder, Vocabulary
 from repro.core.schedule import NoiseSchedule, cosine_betas, linear_betas
@@ -73,8 +73,8 @@ __all__ = [
     "NonFiniteLatentsError",
     "quantize_matrix",
     "repair_matrix",
-    "repair_row_structure",
     "matrix_to_flow",
+    "matrices_to_flows",
     "gaps_to_channel",
     "channel_to_gaps",
     "repair_flow_state",

@@ -158,32 +158,36 @@ def apply_structure_guidance(
     mask: np.ndarray,
     threshold: float = 0.5,
 ) -> np.ndarray:
-    """Project a continuous generated matrix onto a structure mask.
+    """Project continuous generated matrices onto a structure mask.
 
-    Columns the mask marks unoccupied (< threshold) are forced vacant;
-    columns it marks occupied have their values pulled out of the vacant
-    range so quantisation keeps them.  This is the hard inference-time
-    constraint that guarantees Fig. 2's "all packets strictly conform to
-    the dominant protocol type".
+    ``matrix`` is one flow ``(P, 1088)`` or a batch ``(..., P, 1088)``;
+    the mask broadcasts over the leading axes.  Columns the mask marks
+    unoccupied (< threshold) are forced vacant; columns it marks occupied
+    have their values pulled out of the vacant range so quantisation
+    keeps them.  This is the hard inference-time constraint that
+    guarantees Fig. 2's "all packets strictly conform to the dominant
+    protocol type".  float32 input stays float32 (every output value is
+    an input value, 0, 1 or -1); anything else is promoted to float64.
     """
-    matrix = np.asarray(matrix, dtype=np.float64).copy()
+    matrix = np.asarray(matrix)
+    if matrix.dtype != np.float32:
+        matrix = np.asarray(matrix, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != mask.shape[0]:
+    if matrix.ndim < 2 or matrix.shape[-1] != mask.shape[0]:
         raise ValueError("matrix/mask shape mismatch")
     # Padding rows (trailing all-vacant rows of the fixed-height image)
     # must stay padding.  Detection uses the *fixed* 20-byte IPv4 span:
     # always present (mean ~0.2) on packet rows, all vacant (-1) on
     # padding rows.  The full region would mislead — its 40 option bytes
-    # are usually vacant, dragging packet rows to ~-0.58.
+    # are usually vacant, dragging packet rows to ~-0.58.  The mean is
+    # taken in float64 whatever the input dtype: a float32 mean can land
+    # on the other side of -0.5.
     ipv4 = REGION_SLICES["ipv4"]
-    row_mean = matrix[:, ipv4.start : ipv4.start + 160].mean(axis=1)
-    packet_rows = row_mean > -0.5
+    fixed = matrix[..., ipv4.start : ipv4.start + 160].astype(np.float64)
+    packet_rows = fixed.mean(axis=-1) > -0.5
     off = mask < threshold
-    on = ~off
-    matrix[np.ix_(packet_rows, off)] = -1.0
     # Pull occupied columns of packet rows out of the vacant band.
-    matrix[np.ix_(packet_rows, on)] = np.clip(
-        matrix[np.ix_(packet_rows, on)], 0.0, 1.0
-    )
-    matrix[~packet_rows, :] = -1.0
-    return matrix
+    guided = np.clip(matrix, 0.0, 1.0)
+    np.copyto(guided, -1.0, where=off)
+    guided[~packet_rows] = -1.0
+    return guided

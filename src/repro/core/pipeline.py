@@ -24,6 +24,7 @@ import copy
 import os
 import shutil
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,7 @@ from repro.core.lora import inject_lora, lora_parameters, merge_lora
 from repro.core.postprocess import (
     channel_to_gaps,
     gaps_to_channel,
-    matrix_to_flow,
+    matrices_to_flows,
 )
 from repro.core.prompt import PromptCodebook, PromptEncoder, Vocabulary
 from repro.core.schedule import NoiseSchedule
@@ -214,8 +215,11 @@ class GenerationResult:
     large intermediates across the process boundary.
     """
 
-    flows: list[Flow]
-    # ternary-quantised, structure-repaired is in flows
+    #: a :class:`~repro.nprint.decoder.FlowBatch` (``Sequence[Flow]``),
+    #: or a ``list[Flow]`` once state repair has rebuilt the flows
+    flows: Sequence[Flow]
+    #: ``(n, P, 1088)`` int8 ternary-quantised, structure-repaired
+    #: matrices — the arrays the flows were decoded from, not a copy
     matrices: np.ndarray | None
     continuous: np.ndarray | None
     gaps: np.ndarray | None
@@ -803,36 +807,45 @@ class TextToTrafficPipeline:
         hard_guidance: bool = True,
         state_repair: bool = False,
         rng: np.random.Generator | None = None,
+        part_sizes: list[int] | None = None,
     ) -> GenerationResult:
         """Latents -> decoded, structure-guided, labelled flows.
 
         The second half of :meth:`generate_raw`, shared verbatim with the
-        streaming path so chunked generation is byte-identical to batch.
+        streaming and coalesced paths so they are byte-identical to batch.
+        The whole batch goes through guidance, quantisation, repair and
+        decode as arrays, one pass each; with ``state_repair`` the flows
+        are then rebuilt as objects.
+
+        ``part_sizes`` splits the rows into coalesced requests for the
+        codec alone: each part's latents are decoded on their own, as
+        that request's solo call decodes them (BLAS may round a one-row
+        product differently from the same row inside a larger one).
         """
-        n = len(latents)
         with perf.timer("pipeline.finalize_latents"):
-            vectors = self.codec.decode(latents)
+            if part_sizes is None:
+                vectors = self.codec.decode(latents)
+            else:
+                vectors = np.concatenate([
+                    self.codec.decode(part) for part in
+                    np.split(latents, np.cumsum(part_sizes)[:-1])
+                ])
             continuous, gap_channels = self._devectorize(vectors)
-            mask = self.class_masks[class_name]
-            flows: list[Flow] = []
-            quantised = []
-            for i in range(n):
-                cont = continuous[i]
-                if hard_guidance:
-                    cont = apply_structure_guidance(cont, mask)
-                decoded = matrix_to_flow(
-                    cont, gaps_channel=gap_channels[i], label=class_name
+            guided = continuous
+            if hard_guidance:
+                guided = apply_structure_guidance(
+                    continuous, self.class_masks[class_name]
                 )
-                flows.append(decoded.flow)
-                quantised.append(cont)
+            batch = matrices_to_flows(guided, gap_channels, label=class_name)
+            flows = batch
             if state_repair:
                 # Batch repair assigns distinct client ports so flows from
                 # one generation call never collide on a 5-tuple at replay.
-                flows = repair_flows_state(flows, rng or self._rng)
+                flows = repair_flows_state(list(batch), rng or self._rng)
             gaps = channel_to_gaps(gap_channels)
         return GenerationResult(
             flows=flows,
-            matrices=np.stack(quantised),
+            matrices=batch.matrices,
             continuous=continuous,
             gaps=gaps,
             label=class_name,
@@ -886,7 +899,11 @@ class TextToTrafficPipeline:
         Each chunk runs ``sample_latents -> decode -> flows`` for at most
         ``chunk`` flows (default: 4x ``generation_batch``) and is yielded
         before the next begins, so a million-flow run never materialises
-        more than one chunk of intermediates.
+        more than one chunk of intermediates.  A chunk is finalized in one
+        array pass (guidance, repair, decode to wire records); its
+        ``flows`` is a :class:`~repro.nprint.decoder.FlowBatch`, which
+        :func:`~repro.net.packet.render_flows` hands straight to the pcap
+        writer without building a :class:`~repro.net.packet.Packet`.
 
         **Sequential mode** (``workers=None``, the default): one shared
         ``rng`` drives every chunk in order.  With ``state_repair=False``
@@ -1073,8 +1090,11 @@ class TextToTrafficPipeline:
         share a single sampler batch — one denoiser forward per DDIM step
         for the whole group instead of one per request — but every part
         draws its initial latents and per-step noise from its *own*
-        generator (:class:`_SegmentedRNG`), and the post-sampling decode /
-        guidance / state-repair runs per part with that part's rng.
+        generator (:class:`_SegmentedRNG`).  After sampling, the whole
+        group is finalized once (guidance, repair and decode run as one
+        array pass; only the codec decodes each part's rows on their own)
+        and the result is sliced per part.  Finalize draws no randomness,
+        so ``state_repair`` then runs per part with that part's rng.
 
         Determinism contract (pinned by ``tests/test_serve.py``): each
         part's flows are byte-identical to a solo
@@ -1115,13 +1135,23 @@ class TextToTrafficPipeline:
             _check_finite(latents)
         perf.incr("pipeline.sampled_flows", total)
         perf.incr("pipeline.coalesced_parts", len(parts))
+        whole = self._finalize_latents(
+            latents, class_name, hard_guidance=hard_guidance,
+            part_sizes=counts,
+        )
         results: list[GenerationResult] = []
         offset = 0
         for count, rng in parts:
-            results.append(self._finalize_latents(
-                latents[offset:offset + count], class_name,
-                hard_guidance=hard_guidance, state_repair=state_repair,
-                rng=rng,
+            part = slice(offset, offset + count)
+            flows = whole.flows[part]
+            if state_repair:
+                flows = repair_flows_state(list(flows), rng)
+            results.append(GenerationResult(
+                flows=flows,
+                matrices=whole.matrices[part],
+                continuous=whole.continuous[part],
+                gaps=whole.gaps[part],
+                label=class_name,
             ))
             offset += count
         return results
@@ -1133,7 +1163,7 @@ class TextToTrafficPipeline:
         **kwargs,
     ) -> list[Flow]:
         """Generate ``n`` labelled synthetic flows for ``class_name``."""
-        return self.generate_raw(class_name, n, **kwargs).flows
+        return list(self.generate_raw(class_name, n, **kwargs).flows)
 
     def generate_balanced(
         self, n_per_class: int, **kwargs

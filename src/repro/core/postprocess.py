@@ -8,7 +8,11 @@ into nprint and finally into pcap format" (§3.1).  Here that is:
 2. repair each row's *structure* — exactly one transport region, fully
    populated fixed header parts, word-aligned options,
 3. field-level repair and checksum recomputation in the nprint decoder,
+   which emits each packet's wire bytes,
 4. serialise through :mod:`repro.net.pcap`.
+
+Each step runs once over a whole ``(n, P, 1088)`` batch of flows
+(:func:`matrices_to_flows`); a single flow is a batch of one.
 
 The timing channel (per-packet inter-arrival gaps) travels alongside the
 bit matrix through the codec; :func:`gaps_to_channel` and
@@ -20,8 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.imaging.colormap import continuous_to_ternary
-from repro.net.flow import Flow
-from repro.nprint.decoder import DecodedFlow, decode_flow
+from repro.nprint.decoder import DecodedFlow, FlowBatch, decode_batch
 from repro.nprint.fields import (
     FIELDS,
     NPRINT_BITS,
@@ -56,87 +59,29 @@ def quantize_matrix(continuous: np.ndarray) -> np.ndarray:
     return continuous_to_ternary(continuous)
 
 
-def repair_row_structure(row: np.ndarray) -> np.ndarray:
-    """Make one ternary row structurally decodable.
-
-    Chooses the dominant transport region by occupancy, vacates the other
-    two, fills vacant bits inside fixed header spans with 0, and rounds
-    option tails to whole 32-bit words (dropping mostly-vacant tails).
-    """
-    row = np.asarray(row, dtype=np.int8).copy()
-
-    # IPv4 fixed header is always present.
-    ipv4 = REGION_SLICES["ipv4"]
-    fixed = row[ipv4.start : ipv4.start + _IPV4_FIXED_BITS]
-    fixed[fixed == VACANT] = 0
-    _align_options(row, FIELDS["ipv4.options"])
-
-    occupancy = {
-        name: float(np.mean(row[fs.start : fs.stop] != VACANT))
-        for name, fs in REGION_SLICES.items()
-        if name != "ipv4"
-    }
-    winner = max(occupancy, key=occupancy.get)
-    for name, fs in REGION_SLICES.items():
-        if name in ("ipv4", winner):
-            continue
-        row[fs.start : fs.stop] = VACANT
-
-    region = REGION_SLICES[winner]
-    if winner == "tcp":
-        fixed = row[region.start : region.start + _TCP_FIXED_BITS]
-        fixed[fixed == VACANT] = 0
-        _align_options(row, FIELDS["tcp.options"])
-    else:
-        segment = row[region.start : region.stop]
-        segment[segment == VACANT] = 0
-    return row
-
-
-def _align_options(row: np.ndarray, fs) -> None:
-    """Keep whole 32-bit option words that are mostly present; drop the rest."""
-    span = row[fs.start : fs.stop]
-    n_words = len(span) // 32
-    for w in range(n_words):
-        word = span[w * 32 : (w + 1) * 32]
-        if np.mean(word != VACANT) >= 0.5:
-            word[word == VACANT] = 0
-        else:
-            span[w * 32 :] = VACANT
-            break
-
-
 def _align_options_rows(rows: np.ndarray, fs) -> None:
-    """Row-batched :func:`_align_options`: same per-row output, no loop.
+    """Keep whole 32-bit option words that are mostly present; drop the rest.
 
     A word is kept when >= 50% of its bits are present; the first failing
-    word vacates itself and everything after it in the span (the scalar
-    version's ``break``), which is a prefix-AND along the word axis.
+    word vacates itself and everything after it in the span, which is a
+    prefix-AND along the word axis.  ``rows`` is C-contiguous, so the
+    word reshape is a view written in place.
     """
-    span = rows[:, fs.start : fs.stop]
-    n_words = span.shape[1] // 32
-    if n_words == 0:
-        return
-    head = span[:, : n_words * 32]
-    present = (head != VACANT).reshape(len(rows), n_words, 32)
-    keep = np.logical_and.accumulate(present.mean(axis=2) >= 0.5, axis=1)
-    keep_bits = np.repeat(keep, 32, axis=1)
-    head[keep_bits & (head == VACANT)] = 0
-    head[~keep_bits] = VACANT
-    tail = span[:, n_words * 32 :]
-    if tail.shape[1]:
-        tail[~keep[:, -1]] = VACANT
+    words = rows[:, fs.start : fs.stop].reshape(len(rows), fs.width // 32, 32)
+    present = words != VACANT
+    keep = np.logical_and.accumulate(present.sum(axis=2) >= 16, axis=1)
+    # words * present turns vacant bits into 0 and keeps 0/1 bits.
+    words[...] = np.where(keep[:, :, None], words * present, VACANT)
 
 
 def _repair_rows(rows: np.ndarray) -> None:
-    """Vectorised :func:`repair_row_structure` over packet rows, in place."""
+    """Repair the structure of packet rows (see :func:`repair_matrix`), in place."""
     ipv4 = REGION_SLICES["ipv4"]
     fixed = rows[:, ipv4.start : ipv4.start + _IPV4_FIXED_BITS]
-    fixed[fixed == VACANT] = 0
+    np.copyto(fixed, 0, where=fixed == VACANT)
     _align_options_rows(rows, FIELDS["ipv4.options"])
 
-    # Same iteration order as the scalar dict, so occupancy ties break
-    # identically (argmax and max() both pick the first maximum).
+    # Occupancy ties go to the first region in layout order.
     names = [n for n in REGION_SLICES if n != "ipv4"]
     occupancy = np.stack([
         (rows[:, REGION_SLICES[n].start : REGION_SLICES[n].stop] != VACANT)
@@ -146,45 +91,65 @@ def _repair_rows(rows: np.ndarray) -> None:
     winner = np.argmax(occupancy, axis=0)
     for idx, name in enumerate(names):
         fs = REGION_SLICES[name]
-        rows[winner != idx, fs.start : fs.stop] = VACANT
-        won = winner == idx
-        if not won.any():
-            continue
-        sub = rows[won]
-        if name == "tcp":
-            tcp_fixed = sub[:, fs.start : fs.start + _TCP_FIXED_BITS]
-            tcp_fixed[tcp_fixed == VACANT] = 0
-            _align_options_rows(sub, FIELDS["tcp.options"])
-        else:
-            segment = sub[:, fs.start : fs.stop]
-            segment[segment == VACANT] = 0
-        rows[won] = sub
+        span = rows[:, fs.start : fs.stop]
+        won = (winner == idx)[:, None]
+        np.copyto(span, VACANT, where=~won)
+        filled = span[:, :_TCP_FIXED_BITS] if name == "tcp" else span
+        np.copyto(filled, 0, where=won & (filled == VACANT))
+    # Losing rows' TCP spans are all vacant already, so aligning every
+    # row's options changes only the rows TCP won.
+    _align_options_rows(rows, FIELDS["tcp.options"])
 
 
 def repair_matrix(matrix: np.ndarray) -> np.ndarray:
     """Structure-repair every packet row; padding rows stay vacant.
 
-    Row-batched implementation of :func:`repair_row_structure` (one pass
-    of array ops over the whole matrix instead of per-row Python), pinned
-    to the scalar function's output by the test suite.
+    ``matrix`` is one flow ``(P, 1088)`` or a batch ``(n, P, 1088)``.  A
+    packet row always carries the fixed 20-byte IPv4 header, so each flow
+    is cut at its first row where that span is mostly vacant: rows from
+    the cut on become padding (flows are contiguous, so later stray rows
+    are padding too).  Every row before its flow's cut gets one
+    row-batched repair: the dominant transport region by occupancy wins
+    and the other two are vacated, vacant bits inside fixed header spans
+    become 0, and option tails keep only whole, mostly-present 32-bit
+    words.
     """
     matrix = np.asarray(matrix, dtype=np.int8)
-    if matrix.ndim != 2 or matrix.shape[1] != NPRINT_BITS:
-        raise ValueError(f"expected (P, {NPRINT_BITS}), got {matrix.shape}")
+    if matrix.ndim not in (2, 3) or matrix.shape[-1] != NPRINT_BITS:
+        raise ValueError(
+            f"expected ([n,] P, {NPRINT_BITS}), got {matrix.shape}"
+        )
     out = matrix.copy()
+    flows = out.reshape(-1, *out.shape[-2:])
     ipv4 = REGION_SLICES["ipv4"]
-    # A packet row always carries the fixed 20-byte IPv4 header; the
-    # first row without it ends the flow (flows are contiguous, so later
-    # stray rows are padding too).
     fixed_occupancy = (
-        out[:, ipv4.start : ipv4.start + _IPV4_FIXED_BITS] != VACANT
-    ).mean(axis=1)
+        flows[..., ipv4.start : ipv4.start + _IPV4_FIXED_BITS] != VACANT
+    ).mean(axis=2)
     bad = fixed_occupancy < 0.5
-    cut = int(np.argmax(bad)) if bad.any() else out.shape[0]
-    out[cut:] = VACANT
-    if cut:
-        _repair_rows(out[:cut])
+    cut = np.where(bad.any(axis=1), bad.argmax(axis=1), flows.shape[1])
+    live = np.arange(flows.shape[1]) < cut[:, None]
+    flows[~live] = VACANT
+    rows = flows[live]
+    _repair_rows(rows)
+    flows[live] = rows
     return out
+
+
+def matrices_to_flows(
+    continuous: np.ndarray,
+    gaps_channels: np.ndarray | None = None,
+    label: str = "",
+    start_time: float = 0.0,
+) -> FlowBatch:
+    """Full back-transform of ``(n, P, 1088)`` continuous matrices (+ their
+    ``(n, P)`` timing channels) into a :class:`FlowBatch` — quantise,
+    repair and decode in one array pass per step."""
+    repaired = repair_matrix(quantize_matrix(continuous))
+    gaps = None
+    if gaps_channels is not None:
+        gaps = channel_to_gaps(gaps_channels)
+    return decode_batch(repaired, gaps=gaps, label=label,
+                        start_time=start_time)
 
 
 def matrix_to_flow(
@@ -193,10 +158,10 @@ def matrix_to_flow(
     label: str = "",
     start_time: float = 0.0,
 ) -> DecodedFlow:
-    """Full back-transform: continuous matrix (+ timing channel) -> flow."""
-    ternary = quantize_matrix(continuous)
-    repaired = repair_matrix(ternary)
-    gaps = None
+    """Full back-transform of one flow: a one-flow :func:`matrices_to_flows`."""
     if gaps_channel is not None:
-        gaps = channel_to_gaps(gaps_channel)
-    return decode_flow(repaired, gaps=gaps, label=label, start_time=start_time)
+        gaps_channel = np.asarray(gaps_channel)[None]
+    batch = matrices_to_flows(
+        np.asarray(continuous)[None], gaps_channel, label, start_time
+    )
+    return DecodedFlow(flow=batch[0])

@@ -62,9 +62,12 @@ def continuous_to_ternary(
     0 -> 0.0 and vacant -> -1.0; this rounds each value to the nearest of
     the three levels.  Values below ``-vacant_threshold`` become vacant.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    out = np.where(matrix >= 0.5, 1, 0).astype(np.int8)
-    out[matrix < -vacant_threshold] = VACANT
+    matrix = np.asarray(matrix)
+    if matrix.dtype != np.float32:
+        matrix = np.asarray(matrix, dtype=np.float64)
+    # float64 thresholds compare float32 input exactly, without a copy.
+    out = (matrix >= np.float64(0.5)).view(np.int8)
+    np.copyto(out, VACANT, where=matrix < np.float64(-vacant_threshold))
     return out
 
 

@@ -2,10 +2,10 @@
 
 Used by the IPv4, TCP, UDP and ICMP header builders and by the nprint
 decoder's packet-repair pass (synthetic bit matrices rarely carry a valid
-checksum, so the decoder recomputes it here before emitting pcap bytes —
-once per repaired packet, which makes this a decoder hot path).  The
+checksum, so the decoder recomputes it before emitting pcap bytes).  The
 16-bit word sum is vectorised with ``np.frombuffer`` instead of a
-per-2-byte Python loop.
+per-2-byte Python loop; :func:`internet_checksum_rows` checksums a whole
+batch of headers, one per row, for the decoder's array pass.
 """
 
 from __future__ import annotations
@@ -31,6 +31,25 @@ def _ones_complement_sum(data: bytes) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return total
+
+
+def internet_checksum_rows(
+    data: np.ndarray, extra: np.ndarray | int = 0
+) -> np.ndarray:
+    """Row-wise :func:`internet_checksum` over a ``(n, 2k)`` uint8 array.
+
+    Each row is read as ``k`` big-endian 16-bit words; ``extra`` adds
+    pre-summed words per row (e.g. a pseudo-header).  The wide sums are
+    folded with end-around carry until every row fits in 16 bits, so row
+    ``i`` equals ``internet_checksum`` of the same words.  Zero bytes past
+    a header's end contribute nothing, so ragged headers can share one
+    zero-padded array.
+    """
+    words = np.ascontiguousarray(data, dtype=np.uint8).view(">u2")
+    total = words.sum(axis=1, dtype=np.int64) + extra
+    while (total >> 16).any():
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
 
 
 def internet_checksum(data: bytes) -> int:

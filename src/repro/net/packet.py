@@ -326,10 +326,15 @@ def render_flows(flows, renderer: PacketRenderer | None = None):
     """Render every packet of ``flows`` to wire bytes, flow-major.
 
     Returns ``(datas, timestamps)`` ready for
-    :meth:`repro.net.pcap.PcapWriter.write_many`.
+    :meth:`repro.net.pcap.PcapWriter.write_many`.  A decoded batch
+    (:class:`repro.nprint.decoder.FlowBatch`) already carries both and is
+    returned as is; object flows go through ``renderer`` packet by packet.
     """
     import numpy as np
 
+    records = getattr(flows, "records", None)
+    if records is not None:
+        return records, flows.stamps
     renderer = renderer or PacketRenderer()
     datas: list[bytes] = []
     stamps: list[float] = []

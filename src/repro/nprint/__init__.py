@@ -40,7 +40,9 @@ from repro.nprint.textio import (
 )
 from repro.nprint.decoder import (
     DecodedFlow,
+    FlowBatch,
     NprintDecodeError,
+    decode_batch,
     decode_flow,
     decode_packet,
     infer_transport,
@@ -74,7 +76,9 @@ __all__ = [
     "interarrival_channels",
     "decode_packet",
     "decode_flow",
+    "decode_batch",
     "DecodedFlow",
+    "FlowBatch",
     "NprintDecodeError",
     "read_field",
     "region_occupancy",

@@ -11,18 +11,25 @@ that resolves every inconsistency in favour of structural validity:
 1. the active transport is chosen by region occupancy (vote of non-vacant
    bits), cross-checked against the IPv4 protocol field;
 2. IPv4 version/IHL/total-length are recomputed from the actual structure;
-3. all checksums are recomputed by the header ``pack`` methods.
+3. all checksums are recomputed.
 
+:func:`decode_batch` runs that pass over every row of a batch of flows as
+array operations and emits each packet's wire bytes directly (a
+:class:`FlowBatch`); :class:`Packet` objects are built only when a caller
+reads a flow's packets.  :func:`decode_packet` is the one-row reference.
 With ``strict=True`` the repair pass is disabled and any inconsistency
 raises :class:`NprintDecodeError` instead.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import perf
+from repro.net.checksum import internet_checksum_rows
 from repro.net.flow import Flow
 from repro.net.headers import (
     ICMPHeader,
@@ -34,14 +41,8 @@ from repro.net.headers import (
 from repro.net.packet import Packet
 from repro.nprint.fields import (
     FIELDS,
-    ICMP_BITS,
-    ICMP_OFFSET,
     NPRINT_BITS,
     REGION_SLICES,
-    TCP_BITS,
-    TCP_OFFSET,
-    UDP_BITS,
-    UDP_OFFSET,
     VACANT,
     FieldSlice,
 )
@@ -262,22 +263,32 @@ def _read_fields_batch(rows: np.ndarray) -> dict[str, np.ndarray]:
     return values
 
 
-def _decode_rows(rows: np.ndarray, timestamps: list[float]) -> list[Packet]:
-    """Row-batched non-strict :func:`decode_packet` over live rows."""
-    vals = _read_fields_batch(rows)
-    present = rows != VACANT
+def _transport_protocols(
+    present: np.ndarray, declared: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row :func:`infer_transport` with :func:`decode_packet`'s
+    fallback: ``(emitted protocols, rows with no vote)``.
+
+    Rows where no transport region is >= 25% occupied keep a declared
+    ``ipv4.proto`` of 1, 6 or 17 and become TCP otherwise.
+    """
     occ = np.stack([
         present[:, fs.start : fs.stop].mean(axis=1)
         for _, fs in _TRANSPORT_REGIONS
     ])
-    vote = np.argmax(occ, axis=0)
-    voted_proto = np.array([p for p, _ in _TRANSPORT_REGIONS])[vote]
-    no_vote = occ[vote, np.arange(len(rows))] < 0.25
-    declared = vals["ipv4.proto"]
+    voted = np.array([p for p, _ in _TRANSPORT_REGIONS])[occ.argmax(axis=0)]
+    no_vote = occ.max(axis=0) < 0.25
     fallback = np.where(
         np.isin(declared, (1, 6, 17)), declared, int(IPProto.TCP)
     )
-    protos = np.where(no_vote, fallback, voted_proto)
+    return np.where(no_vote, fallback, voted), no_vote
+
+
+def _decode_rows(rows: np.ndarray, timestamps: list[float]) -> list[Packet]:
+    """Row-batched non-strict :func:`decode_packet` over live rows."""
+    vals = _read_fields_batch(rows)
+    present = rows != VACANT
+    protos, _ = _transport_protocols(present, vals["ipv4.proto"])
 
     ip_opt_bytes = _option_lengths(present, FIELDS["ipv4.options"])
     tcp_opt_bytes = _option_lengths(present, FIELDS["tcp.options"])
@@ -352,10 +363,234 @@ def _decode_rows(rows: np.ndarray, timestamps: list[float]) -> list[Packet]:
     return packets
 
 
+
+
 def _option_lengths(present: np.ndarray, fs: FieldSlice) -> np.ndarray:
     """Per-row :func:`_option_length` (word-aligned present byte count)."""
     counts = present[:, fs.start : fs.stop].sum(axis=1)
     return (counts // 8 // 4) * 4
+
+
+def _region_bytes(name: str) -> slice:
+    """Byte columns of header region ``name`` in a packed row."""
+    fs = REGION_SLICES[name]
+    return slice(fs.start // 8, fs.stop // 8)
+
+
+def _wire_records(rows: np.ndarray) -> list[bytes]:
+    """Wire bytes of every row: ``decode_packet(row).to_bytes()`` in bulk.
+
+    One ``np.packbits`` yields every header byte the rows carry.  The
+    transport vote, option lengths and payload clamp run over all rows at
+    once; lengths, protocol and checksums are then patched column-wise,
+    and the ragged IPv4 + transport headers are scattered into one
+    zero-filled buffer (the payloads are zero bytes) that is cut into
+    records.  Counts decoder repairs in ``nprint.decode.*``.
+    """
+    n = len(rows)
+    present = rows != VACANT
+    packed = np.packbits(rows == 1, axis=1)
+
+    declared = packed[:, 9].astype(np.int64)
+    protos, no_vote = _transport_protocols(present, declared)
+    tcp = protos == IPProto.TCP
+    udp = protos == IPProto.UDP
+    icmp = protos == IPProto.ICMP
+
+    ip_len = 20 + _option_lengths(present, FIELDS["ipv4.options"])
+    tr_len = np.where(
+        tcp, 20 + _option_lengths(present, FIELDS["tcp.options"]), 8
+    )
+    header_len = ip_len + tr_len
+    declared_total = (packed[:, 2].astype(np.int64) << 8) | packed[:, 3]
+    # The declared total length sets the payload length, clamped so the
+    # datagram holds its headers and fits 16 bits.
+    payload = declared_total - header_len
+    clamped = (payload < 0) | (payload > 65535 - header_len)
+    payload = np.clip(payload, 0, 65535 - header_len)
+    total = header_len + payload
+
+    perf.incr("nprint.decode.packets", n)
+    perf.incr("nprint.decode.fallback_proto", int(no_vote.sum()))
+    perf.incr("nprint.decode.proto_rewritten", int((declared != protos).sum()))
+    perf.incr("nprint.decode.payload_clamped", int(clamped.sum()))
+
+    cols = np.arange(60)
+    ip = packed[:, _region_bytes("ipv4")].copy()
+    ip_mask = cols < ip_len[:, None]
+    ip[~ip_mask] = 0
+    ip[:, 0] = 0x40 | (ip_len >> 2)  # version 4, IHL
+    ip[:, 2] = total >> 8
+    ip[:, 3] = total & 0xFF
+    ip[:, 9] = protos
+    ip[:, 10:12] = 0
+    csum = internet_checksum_rows(ip)
+    ip[:, 10] = csum >> 8
+    ip[:, 11] = csum & 0xFF
+
+    tr = np.zeros((n, 60), dtype=np.uint8)
+    tr[tcp] = packed[tcp, _region_bytes("tcp")]
+    tr[udp, :8] = packed[udp, _region_bytes("udp")]
+    tr[icmp, :8] = packed[icmp, _region_bytes("icmp")]
+    tr_mask = cols < tr_len[:, None]
+    tr[~tr_mask] = 0
+    tr[tcp, 12] = (tr_len[tcp] >> 2) << 4  # data offset, reserved 0
+    tr[tcp, 16:18] = 0
+    udp_len = 8 + payload[udp]
+    tr[udp, 4] = udp_len >> 8
+    tr[udp, 5] = udp_len & 0xFF
+    tr[udp, 6:8] = 0
+    tr[icmp, 2:4] = 0
+    # TCP/UDP pseudo-header: addresses, protocol, segment length.
+    pseudo = (
+        ip.view(">u2")[:, 6:10].sum(axis=1, dtype=np.int64)
+        + protos + tr_len + payload
+    )
+    csum = internet_checksum_rows(tr, np.where(icmp, 0, pseudo))
+    csum[udp & (csum == 0)] = 0xFFFF  # RFC 768: zero means "no checksum"
+    at = np.where(tcp, 16, np.where(udp, 6, 2))
+    tr[np.arange(n), at] = csum >> 8
+    tr[np.arange(n), at + 1] = csum & 0xFF
+
+    ends = np.cumsum(total)
+    starts = ends - total
+    wire = np.zeros(int(ends[-1]) if n else 0, dtype=np.uint8)
+    wire[(starts[:, None] + cols)[ip_mask]] = ip[ip_mask]
+    wire[(starts[:, None] + ip_len[:, None] + cols)[tr_mask]] = tr[tr_mask]
+    data = wire.tobytes()
+    return [data[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def _clocks(
+    gaps: np.ndarray | None, n: int, p: int, start_time: float
+) -> np.ndarray:
+    """``(n, p)`` row timestamps: ``clock += max(0, gap)`` from
+    ``start_time``, 1 ms per row past the given gaps.
+
+    ``np.cumsum`` adds sequentially, so each clock equals the running
+    float sum a per-packet loop would compute.
+    """
+    steps = np.full((n, p), 0.001)
+    if gaps is not None:
+        gaps = np.asarray(gaps, dtype=np.float64).reshape(n, -1)[:, :p]
+        steps[:, : gaps.shape[1]] = gaps
+    steps = np.where(steps > 0.0, steps, 0.0)
+    steps[:, 0] = start_time
+    return np.cumsum(steps, axis=1)
+
+
+class _LazyPackets(Sequence):
+    """A decoded flow's packets, built from its rows on first access."""
+
+    __slots__ = ("_rows", "_stamps", "_packets")
+
+    def __init__(self, rows: np.ndarray, stamps: np.ndarray):
+        self._rows = rows
+        self._stamps = stamps
+        self._packets: list[Packet] | None = None
+
+    def _decoded(self) -> list[Packet]:
+        if self._packets is None:
+            self._packets = _decode_rows(self._rows, self._stamps.tolist())
+        return self._packets
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple, _LazyPackets)):
+            return self._decoded() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._decoded())
+
+
+class FlowBatch(Sequence):
+    """An immutable batch of decoded flows, held as arrays.
+
+    ``matrices`` is the ``(n, P, 1088)`` ternary input, ``counts`` the
+    packets per flow, and ``stamps`` / ``records`` every packet's
+    timestamp and wire bytes in flow-major order — what
+    :meth:`repro.net.pcap.PcapWriter.write_many` takes, and what
+    :func:`repro.net.packet.render_flows` returns for a batch.
+
+    Indexing yields :class:`Flow` objects (cached per batch) whose
+    ``packets`` are decoded from the flow's rows on first access, so a
+    caller that only writes pcap or counts packets never builds a
+    :class:`Packet`.  A contiguous slice is a ``FlowBatch`` view of the
+    same arrays.
+    """
+
+    def __init__(self, matrices, counts, stamps, records, label: str = ""):
+        self.matrices = matrices
+        self.counts = counts
+        self.stamps = stamps
+        self.records = records
+        self.label = label
+        self._offsets = np.concatenate([[0], np.cumsum(counts)])
+        self._flows: list[Flow | None] = [None] * len(counts)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return [self[i] for i in range(start, stop, step)]
+            stop = max(start, stop)
+            lo, hi = int(self._offsets[start]), int(self._offsets[stop])
+            return FlowBatch(
+                self.matrices[start:stop], self.counts[start:stop],
+                self.stamps[lo:hi], self.records[lo:hi], self.label,
+            )
+        i = range(len(self))[index]
+        flow = self._flows[i]
+        if flow is None:
+            lo, hi = self._offsets[i], self._offsets[i + 1]
+            packets = _LazyPackets(
+                self.matrices[i, : self.counts[i]], self.stamps[lo:hi]
+            )
+            flow = self._flows[i] = Flow(packets=packets, label=self.label)
+        return flow
+
+    def __repr__(self) -> str:
+        return (f"FlowBatch({len(self)} flows, {len(self.records)} packets, "
+                f"label={self.label!r})")
+
+
+def decode_batch(
+    matrices: np.ndarray,
+    gaps: np.ndarray | None = None,
+    label: str = "",
+    start_time: float = 0.0,
+) -> FlowBatch:
+    """Decode ``(n, P, 1088)`` ternary matrices into a :class:`FlowBatch`.
+
+    Flow for flow the non-strict :func:`decode_flow`: a flow ends at its
+    first all-vacant row, ``gaps`` (``(n, P)`` inter-arrival seconds, or
+    None for 1 ms spacing) set the timestamps from ``start_time``, and
+    every packet's wire bytes equal ``decode_packet(row).to_bytes()``.
+    """
+    matrices = np.asarray(matrices)
+    if matrices.ndim != 3 or matrices.shape[2] != NPRINT_BITS:
+        raise ValueError(
+            f"expected (n, P, {NPRINT_BITS}) matrices, got {matrices.shape}"
+        )
+    n, p, _ = matrices.shape
+    vacant = (matrices == VACANT).all(axis=2)
+    counts = np.where(vacant.any(axis=1), vacant.argmax(axis=1), p)
+    live = np.arange(p) < counts[:, None]
+    stamps = _clocks(gaps, n, p, start_time)[live]
+    records = _wire_records(matrices[live])
+    return FlowBatch(matrices, counts, stamps, records, label)
 
 
 def decode_flow(
@@ -369,30 +604,24 @@ def decode_flow(
 
     ``gaps`` optionally supplies inter-arrival seconds per row (see
     :func:`repro.nprint.encoder.interarrival_channel`); without it packets
-    are spaced 1 ms apart.  All-vacant rows terminate the flow (padding);
-    rows that fail strict decoding are skipped and counted in the result
-    when ``strict`` is False.
+    are spaced 1 ms apart.  All-vacant rows terminate the flow (padding).
+    Non-strict decoding never raises (vacant bits read as zero) and is a
+    one-flow :func:`decode_batch`; ``strict=True`` decodes row by row with
+    :func:`decode_packet` and raises on the first inconsistent row.
     """
     if matrix.ndim != 2 or matrix.shape[1] != NPRINT_BITS:
         raise ValueError(f"expected (P, {NPRINT_BITS}) matrix, got {matrix.shape}")
+    if gaps is not None:
+        gaps = np.asarray(gaps)[None]
+    if not strict:
+        batch = decode_batch(matrix[None], gaps, label, start_time)
+        return DecodedFlow(flow=batch[0])
     flow = Flow(label=label)
-    result = DecodedFlow(flow=flow)
     vacant = (matrix == VACANT).all(axis=1)
     count = int(np.argmax(vacant)) if vacant.any() else matrix.shape[0]
-    clocks: list[float] = []
-    clock = start_time
-    for i in range(count):
-        gap = float(gaps[i]) if gaps is not None and i < len(gaps) else 0.001
-        if i > 0:
-            clock += max(0.0, gap)
-        clocks.append(clock)
-    if not strict:
-        # Non-strict decoding never raises (vacant bits read as zero), so
-        # the whole flow goes through the row-batched fast path.
-        flow.packets.extend(_decode_rows(matrix[:count], clocks))
-        return result
+    clocks = _clocks(gaps, 1, matrix.shape[0], start_time)[0]
     for i in range(count):
         flow.packets.append(
-            decode_packet(matrix[i], timestamp=clocks[i], strict=True)
+            decode_packet(matrix[i], timestamp=float(clocks[i]), strict=True)
         )
-    return result
+    return DecodedFlow(flow=flow)

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.net.headers import TCPFlags
+from repro import perf
+from repro.net.headers import TCPFlags, UDPHeader
+from repro.net.packet import build_packet, render_flows
 from repro.nprint.decoder import (
+    FlowBatch,
     NprintDecodeError,
+    decode_batch,
     decode_flow,
     decode_packet,
     infer_transport,
@@ -169,3 +173,79 @@ class TestDecodeFlow:
             decode_flow(m, strict=True)
         lenient = decode_flow(m)
         assert len(lenient.flow) == 5
+
+
+def _set_field(row: np.ndarray, name: str, value: int) -> None:
+    fs = FIELDS[name]
+    row[fs.start:fs.stop] = [(value >> (fs.width - 1 - b)) & 1
+                             for b in range(fs.width)]
+
+
+class TestDecodeBatch:
+    def _matrix(self, tcp_packet, udp_packet):
+        """One flow of four packet rows and a padding row."""
+        clean = encode_packet(tcp_packet)
+        rewritten = encode_packet(tcp_packet)
+        _set_field(rewritten, "ipv4.proto", 17)  # TCP region populated
+        bare = np.full(NPRINT_BITS, VACANT, dtype=np.int8)
+        bare[:160] = encode_packet(tcp_packet)[:160]
+        _set_field(bare, "ipv4.proto", 99)  # no transport region at all
+        short = encode_packet(udp_packet)
+        _set_field(short, "ipv4.total_length", 10)  # shorter than headers
+        padding = np.full(NPRINT_BITS, VACANT, dtype=np.int8)
+        return np.stack([clean, rewritten, bare, short, padding])[None]
+
+    def test_validity_counters(self, tcp_packet, udp_packet):
+        names = ("packets", "fallback_proto", "proto_rewritten",
+                 "payload_clamped")
+        before = {n: perf.counter(f"nprint.decode.{n}") for n in names}
+        decode_batch(self._matrix(tcp_packet, udp_packet))
+        delta = {n: perf.counter(f"nprint.decode.{n}") - before[n]
+                 for n in names}
+        # bare: no vote, falls back to TCP; rewritten: 17 -> 6; bare: 99 -> 6
+        assert delta == {"packets": 4, "fallback_proto": 1,
+                         "proto_rewritten": 2, "payload_clamped": 1}
+
+    def test_records_match_packets(self, tcp_packet, udp_packet):
+        matrix = self._matrix(tcp_packet, udp_packet)
+        batch = decode_batch(matrix, gaps=np.full((1, 5), 0.25),
+                             start_time=3.0)
+        rows = matrix[0, :4]
+        assert isinstance(batch, FlowBatch)
+        assert batch.counts.tolist() == [4]
+        assert batch.records == [decode_packet(r).to_bytes() for r in rows]
+        assert batch.stamps.tolist() == [3.0, 3.25, 3.5, 3.75]
+        flow = batch[0]
+        assert [p.ip.proto for p in flow.packets] == [6, 6, 6, 17]
+        assert flow.packets[2] == decode_packet(rows[2], timestamp=3.5)
+        assert render_flows(batch) == (batch.records, batch.stamps)
+
+    def test_packets_built_on_first_access(self, sample_flow):
+        batch = decode_batch(encode_flow(sample_flow, max_packets=8)[None])
+        packets = batch[0].packets
+        assert len(packets) == 5
+        assert packets._packets is None  # len() decodes nothing
+        assert batch[0] is batch[0]
+        assert [p.transport.seq for p in packets] == \
+            [p.transport.seq for p in sample_flow.packets]
+
+    def test_slice_is_view(self, sample_flow):
+        m = encode_flow(sample_flow, max_packets=8)
+        batch = decode_batch(np.stack([m, m[::-1], m]))
+        part = batch[1:]
+        assert isinstance(part, FlowBatch)
+        assert np.shares_memory(part.matrices, batch.matrices)
+        assert part.counts.tolist() == [0, 5]  # reversed: padding first
+        assert part.records == batch.records[5:]
+        assert len(part[0]) == 0 and len(part[1]) == 5
+
+    def test_udp_checksum_folding_to_zero_is_ffff(self):
+        pkt = build_packet(0x0A000001, 0x0A000002,
+                           UDPHeader(src_port=1000, dst_port=0),
+                           payload=b"\x00" * 4)
+        wire = pkt.to_bytes()
+        # The checksum with port 0 as the port makes the sum fold to zero.
+        pkt.transport.dst_port = int.from_bytes(wire[26:28], "big")
+        record = decode_batch(encode_packet(pkt)[None, None]).records[0]
+        assert record[26:28] == b"\xff\xff"
+        assert record == pkt.to_bytes()

@@ -9,11 +9,12 @@ from repro.core.postprocess import (
     matrix_to_flow,
     quantize_matrix,
     repair_matrix,
-    repair_row_structure,
 )
 from repro.nprint.decoder import decode_packet, infer_transport
 from repro.nprint.encoder import encode_flow, encode_packet
 from repro.nprint.fields import NPRINT_BITS, REGION_SLICES, VACANT
+
+from postprocess_oracle import repair_row_structure
 
 
 class TestGapChannel:

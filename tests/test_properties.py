@@ -3,7 +3,9 @@
 Each property pins an invariant the rest of the system leans on:
 wire-format round trips, nprint losslessness, checksum validity, codec
 linear-inverse behaviour, gap-transform invertibility, quantiser totality,
-and the autograd engine's agreement with finite differences.
+the array-native finalize path's byte identity with its per-row oracle
+(``tests/postprocess_oracle.py``), and the autograd engine's agreement
+with finite differences.
 """
 
 import io
@@ -13,8 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from postprocess_oracle import decode_rows, finalize_flow, quantize
 from repro.core.autoencoder import LatentCodec
-from repro.core.postprocess import channel_to_gaps, gaps_to_channel
+from repro.core.controlnet import apply_structure_guidance, protocol_mask
+from repro.core.postprocess import (
+    channel_to_gaps,
+    gaps_to_channel,
+    matrices_to_flows,
+)
 from repro.core.schedule import NoiseSchedule
 from repro.imaging.colormap import (
     continuous_to_ternary,
@@ -25,10 +33,11 @@ from repro.ml.nn.autograd import Tensor
 from repro.net.checksum import internet_checksum, verify_checksum
 from repro.net.flow import FlowKey
 from repro.net.headers import ICMPHeader, IPv4Header, TCPHeader, UDPHeader
-from repro.net.packet import build_packet, parse_packet
+from repro.net.packet import build_packet, parse_packet, render_flows
 from repro.net.pcap import PcapReader, PcapWriter
-from repro.nprint.decoder import decode_packet
+from repro.nprint.decoder import decode_batch, decode_packet
 from repro.nprint.encoder import encode_packet
+from repro.nprint.fields import FIELDS, NPRINT_BITS, REGION_SLICES, VACANT
 
 DEFAULT_SETTINGS = settings(
     max_examples=50,
@@ -242,6 +251,150 @@ class TestCodecProperties:
         recon = codec.decode(codec.encode(X))
         scale = max(float(np.abs(X).max()), 1.0)
         assert np.allclose(recon, X, atol=2e-3 * scale)
+
+
+_ROW_KINDS = ("tcp", "udp", "icmp", "bare", "noise", "padding")
+
+
+def _packet_row(draw, rng, kind: str) -> np.ndarray:
+    """A ternary row encoding a random ``kind`` packet, with the edge
+    cases the array decoder must get right drawn in."""
+    src, dst = (int(v) for v in rng.integers(0, 2**32, size=2))
+    sport, dport = (int(v) for v in rng.integers(0, 2**16, size=2))
+    ip_options = rng.bytes(4 * draw(st.integers(0, 10)))
+    payload = b"\x00" * draw(st.sampled_from([0, 1, 7, 512]))
+    if kind == "tcp":
+        transport = TCPHeader(
+            src_port=sport, dst_port=dport,
+            seq=int(rng.integers(0, 2**32)), ack=int(rng.integers(0, 2**32)),
+            flags=int(rng.integers(0, 256)), window=int(rng.integers(0, 2**16)),
+            urgent_pointer=int(rng.integers(0, 2**16)),
+            options=rng.bytes(4 * draw(st.integers(0, 10))),
+        )
+    elif kind == "udp":
+        transport = UDPHeader(src_port=sport, dst_port=0)
+        if draw(st.booleans()):
+            # A destination port equal to the checksum computed with port
+            # 0 makes the one's-complement sum fold to zero.
+            pkt = build_packet(src, dst, transport, payload,
+                               options=ip_options)
+            wire = pkt.to_bytes()
+            at = pkt.ip.header_length + 6
+            dport = int.from_bytes(wire[at : at + 2], "big")
+        transport.dst_port = dport
+    else:
+        transport = ICMPHeader(icmp_type=int(rng.integers(0, 256)),
+                               code=int(rng.integers(0, 256)),
+                               rest=int(rng.integers(0, 2**32)))
+    pkt = build_packet(src, dst, transport, payload,
+                       ttl=int(rng.integers(0, 256)), options=ip_options)
+    row = encode_packet(pkt)
+    if draw(st.booleans()):
+        total = FIELDS["ipv4.total_length"]
+        row[total.start : total.stop] = 1  # 65535: the payload clamps
+    return row
+
+
+def _ternary_row(draw, rng, kind: str) -> np.ndarray:
+    if kind in ("tcp", "udp", "icmp"):
+        return _packet_row(draw, rng, kind)
+    row = np.full(NPRINT_BITS, VACANT, dtype=np.int8)
+    if kind == "bare":
+        # Only the fixed IPv4 header: no transport region reaches 25%
+        # occupancy, so the declared protocol (or TCP) is emitted.
+        row[:160] = rng.integers(0, 2, size=160)
+        proto = FIELDS["ipv4.proto"]
+        declared = draw(st.sampled_from([1, 6, 17, 99]))
+        row[proto.start : proto.stop] = [
+            (declared >> (7 - b)) & 1 for b in range(8)]
+        for name in ("tcp", "udp", "icmp"):
+            fs = REGION_SLICES[name]
+            width = draw(st.integers(0, fs.width // 5))
+            row[fs.start : fs.start + width] = rng.integers(0, 2, size=width)
+    elif kind == "noise":
+        row[:] = rng.integers(-1, 2, size=NPRINT_BITS)
+    return row
+
+
+@st.composite
+def finalize_inputs(draw):
+    """Continuous ``(n, P, 1088)`` float32 matrices, timing channels, a
+    structure mask (or None: hard guidance off) and a start time."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ternary = np.stack([
+        np.stack([
+            _ternary_row(draw, rng, draw(st.sampled_from(_ROW_KINDS)))
+            for _ in range(p)
+        ])
+        for _ in range(n)
+    ])
+    sigma = draw(st.sampled_from([0.0, 0.2, 0.45]))
+    continuous = (ternary + rng.normal(0.0, sigma, size=ternary.shape)
+                  ).astype(np.float32)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, p - 1))
+    edge = draw(st.sampled_from([None, "cut", "boundary"]))
+    if edge == "cut":
+        # A fixed IPv4 span hovering around half vacant: guidance and
+        # repair may cut the flow here, mid-flow.
+        continuous[i, j, :160] = rng.uniform(-1.2, 0.4, size=160)
+    elif edge == "boundary":
+        # Mean just above -0.5 in float64, exactly -0.5 in float32: a
+        # packet row only if guidance averages in float64.
+        continuous[i, j, :160] = -0.5
+        continuous[i, j, 0] = np.nextafter(np.float32(-0.5), np.float32(0))
+    mask = draw(st.sampled_from([None, "tcp", "udp", "icmp", "random"]))
+    if mask == "random":
+        mask = rng.uniform(0.0, 1.0, size=NPRINT_BITS)
+    elif mask is not None:
+        mask = protocol_mask(mask)
+    channels = rng.uniform(-0.2, 2.5, size=(n, p))
+    start = draw(st.sampled_from([0.0, 1.5, 1.7e9]))
+    return continuous, channels, mask, start
+
+
+class TestArrayFinalizeProperties:
+    """The one-pass finalize equals the per-flow, per-row oracle."""
+
+    @given(finalize_inputs())
+    @DEFAULT_SETTINGS
+    def test_batch_finalize_matches_oracle(self, inputs):
+        continuous, channels, mask, _ = inputs
+        guided = (continuous if mask is None
+                  else apply_structure_guidance(continuous, mask))
+        batch = matrices_to_flows(guided, channels, label="x")
+        datas, stamps = render_flows(batch)
+        assert len(datas) == len(stamps) == sum(batch.counts)
+        at = 0
+        for i, flow in enumerate(batch):
+            repaired, packets = finalize_flow(continuous[i], mask,
+                                              channels[i])
+            assert np.array_equal(batch.matrices[i], repaired)
+            assert len(flow.packets) == len(packets)
+            got = datas[at : at + len(packets)]
+            assert got == [pkt.to_bytes() for pkt in packets]
+            assert stamps[at : at + len(packets)].tolist() == \
+                [pkt.timestamp for pkt in packets]
+            assert list(flow.packets) == packets
+            assert flow.label == "x"
+            at += len(packets)
+
+    @given(finalize_inputs())
+    @DEFAULT_SETTINGS
+    def test_batch_decode_matches_oracle(self, inputs):
+        """Unrepaired rows too: no-vote fallback, contradicting protocol
+        fields, stray option bits."""
+        continuous, channels, _, start = inputs
+        ternary = quantize(continuous)
+        gaps = channel_to_gaps(channels)
+        batch = decode_batch(ternary, gaps, start_time=start)
+        for i, flow in enumerate(batch):
+            packets = decode_rows(ternary[i], gaps[i], start_time=start)
+            view = batch[i : i + 1]
+            assert view.records == [pkt.to_bytes() for pkt in packets]
+            assert view.stamps.tolist() == [pkt.timestamp for pkt in packets]
+            assert list(flow.packets) == packets
 
 
 class TestAutogradProperties:

@@ -199,3 +199,8 @@ class TestLiveEndpoints:
         assert _counter_value(
             text, 'repro_perf_counter_total{name="infer.forward"}') > 0
         assert "repro_serve_request_latency_seconds_bucket" in text
+        # Decoder validity counters ride beside latency.
+        decode = 'repro_perf_counter_total{name="nprint.decode.%s"}'
+        assert _counter_value(text, decode % "packets") > 0
+        for name in ("fallback_proto", "proto_rewritten", "payload_clamped"):
+            assert _counter_value(text, decode % name) >= 0
