@@ -28,7 +28,6 @@ from repro.core.pipeline import (
 from repro.core.postprocess import (
     channel_to_gaps,
     gaps_to_channel,
-    matrices_to_flows,
     matrix_to_flow,
     quantize_matrix,
     repair_matrix,
@@ -74,7 +73,6 @@ __all__ = [
     "quantize_matrix",
     "repair_matrix",
     "matrix_to_flow",
-    "matrices_to_flows",
     "gaps_to_channel",
     "channel_to_gaps",
     "repair_flow_state",

@@ -44,7 +44,7 @@ from repro.core.lora import inject_lora, lora_parameters, merge_lora
 from repro.core.postprocess import (
     channel_to_gaps,
     gaps_to_channel,
-    matrices_to_flows,
+    matrix_to_flow,
 )
 from repro.core.prompt import PromptCodebook, PromptEncoder, Vocabulary
 from repro.core.schedule import NoiseSchedule
@@ -52,6 +52,7 @@ from repro.core.staterepair import repair_flows_state
 from repro import perf
 from repro.ml.nn import Adam, Tensor, mse_loss
 from repro.net.flow import Flow
+from repro.nprint.decoder import FlowBatch
 from repro.nprint.encoder import (
     encode_flow,
     encode_flows,
@@ -211,8 +212,9 @@ class GenerationResult:
     """Raw generation artefacts before/after the pcap back-transform.
 
     The array fields are ``None`` when a streaming caller asked for flows
-    only (``yield_arrays=False``) — sharded workers then skip shipping the
-    large intermediates across the process boundary.
+    only (``yield_arrays=False``), and a ``FlowBatch`` then keeps only its
+    flows' packet rows — sharded workers skip shipping the padded
+    matrices and other large intermediates across the process boundary.
     """
 
     #: a :class:`~repro.nprint.decoder.FlowBatch` (``Sequence[Flow]``),
@@ -224,6 +226,18 @@ class GenerationResult:
     continuous: np.ndarray | None
     gaps: np.ndarray | None
     label: str
+
+
+def _flows_only(result: GenerationResult) -> GenerationResult:
+    """``result`` without its array intermediates (``yield_arrays=False``);
+    a :class:`FlowBatch` keeps only its flows' packet rows."""
+    flows = result.flows
+    if isinstance(flows, FlowBatch):
+        flows = flows.without_matrices()
+    return GenerationResult(
+        flows=flows, matrices=None, continuous=None, gaps=None,
+        label=result.label,
+    )
 
 
 class TextToTrafficPipeline:
@@ -836,12 +850,12 @@ class TextToTrafficPipeline:
                 guided = apply_structure_guidance(
                     continuous, self.class_masks[class_name]
                 )
-            batch = matrices_to_flows(guided, gap_channels, label=class_name)
+            batch = matrix_to_flow(guided, gap_channels, label=class_name)
             flows = batch
             if state_repair:
                 # Batch repair assigns distinct client ports so flows from
                 # one generation call never collide on a 5-tuple at replay.
-                flows = repair_flows_state(list(batch), rng or self._rng)
+                flows = repair_flows_state(batch.to_flows(), rng or self._rng)
             gaps = channel_to_gaps(gap_channels)
         return GenerationResult(
             flows=flows,
@@ -870,10 +884,7 @@ class TextToTrafficPipeline:
             state_repair=opts["state_repair"], rng=rng,
         )
         if not opts["yield_arrays"]:
-            result = GenerationResult(
-                flows=result.flows, matrices=None, continuous=None,
-                gaps=None, label=result.label,
-            )
+            result = _flows_only(result)
         return result
 
     def generate_stream(
@@ -982,10 +993,7 @@ class TextToTrafficPipeline:
                 state_repair=state_repair, rng=rng,
             )
             if not yield_arrays:
-                result = GenerationResult(
-                    flows=result.flows, matrices=None, continuous=None,
-                    gaps=None, label=result.label,
-                )
+                result = _flows_only(result)
             yield result
             remaining -= m
 
@@ -1145,7 +1153,7 @@ class TextToTrafficPipeline:
             part = slice(offset, offset + count)
             flows = whole.flows[part]
             if state_repair:
-                flows = repair_flows_state(list(flows), rng)
+                flows = repair_flows_state(flows.to_flows(), rng)
             results.append(GenerationResult(
                 flows=flows,
                 matrices=whole.matrices[part],
@@ -1162,8 +1170,13 @@ class TextToTrafficPipeline:
         n: int,
         **kwargs,
     ) -> list[Flow]:
-        """Generate ``n`` labelled synthetic flows for ``class_name``."""
-        return list(self.generate_raw(class_name, n, **kwargs).flows)
+        """Generate ``n`` labelled synthetic flows for ``class_name``.
+
+        The flows are plain :class:`Flow` objects with their packets built,
+        holding none of the generation's arrays.
+        """
+        flows = self.generate_raw(class_name, n, **kwargs).flows
+        return flows.to_flows() if isinstance(flows, FlowBatch) else flows
 
     def generate_balanced(
         self, n_per_class: int, **kwargs

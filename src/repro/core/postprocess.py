@@ -12,7 +12,7 @@ into nprint and finally into pcap format" (§3.1).  Here that is:
 4. serialise through :mod:`repro.net.pcap`.
 
 Each step runs once over a whole ``(n, P, 1088)`` batch of flows
-(:func:`matrices_to_flows`); a single flow is a batch of one.
+(:func:`matrix_to_flow`); a single flow is a batch of one.
 
 The timing channel (per-packet inter-arrival gaps) travels alongside the
 bit matrix through the codec; :func:`gaps_to_channel` and
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.imaging.colormap import continuous_to_ternary
-from repro.nprint.decoder import DecodedFlow, FlowBatch, decode_batch
+from repro.nprint.decoder import DecodedFlow, FlowBatch, decode_flow
 from repro.nprint.fields import (
     FIELDS,
     NPRINT_BITS,
@@ -135,33 +135,21 @@ def repair_matrix(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrices_to_flows(
-    continuous: np.ndarray,
-    gaps_channels: np.ndarray | None = None,
-    label: str = "",
-    start_time: float = 0.0,
-) -> FlowBatch:
-    """Full back-transform of ``(n, P, 1088)`` continuous matrices (+ their
-    ``(n, P)`` timing channels) into a :class:`FlowBatch` — quantise,
-    repair and decode in one array pass per step."""
-    repaired = repair_matrix(quantize_matrix(continuous))
-    gaps = None
-    if gaps_channels is not None:
-        gaps = channel_to_gaps(gaps_channels)
-    return decode_batch(repaired, gaps=gaps, label=label,
-                        start_time=start_time)
-
-
 def matrix_to_flow(
     continuous: np.ndarray,
     gaps_channel: np.ndarray | None = None,
     label: str = "",
     start_time: float = 0.0,
-) -> DecodedFlow:
-    """Full back-transform of one flow: a one-flow :func:`matrices_to_flows`."""
+) -> DecodedFlow | FlowBatch:
+    """Full back-transform: continuous matrix (+ timing channel) -> flow.
+
+    One ``(P, 1088)`` matrix gives a :class:`DecodedFlow`; a batch of
+    ``(n, P, 1088)`` matrices with ``(n, P)`` channels gives a
+    :class:`FlowBatch`, each step one array pass over the whole batch.
+    """
+    ternary = quantize_matrix(continuous)
+    repaired = repair_matrix(ternary)
+    gaps = None
     if gaps_channel is not None:
-        gaps_channel = np.asarray(gaps_channel)[None]
-    batch = matrices_to_flows(
-        np.asarray(continuous)[None], gaps_channel, label, start_time
-    )
-    return DecodedFlow(flow=batch[0])
+        gaps = channel_to_gaps(gaps_channel)
+    return decode_flow(repaired, gaps=gaps, label=label, start_time=start_time)

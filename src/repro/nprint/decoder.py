@@ -404,10 +404,10 @@ def _wire_records(rows: np.ndarray) -> list[bytes]:
     header_len = ip_len + tr_len
     declared_total = (packed[:, 2].astype(np.int64) << 8) | packed[:, 3]
     # The declared total length sets the payload length, clamped so the
-    # datagram holds its headers and fits 16 bits.
+    # datagram holds its headers (a 16-bit length never exceeds 65535).
     payload = declared_total - header_len
-    clamped = (payload < 0) | (payload > 65535 - header_len)
-    payload = np.clip(payload, 0, 65535 - header_len)
+    clamped = payload < 0
+    payload = np.maximum(payload, 0)
     total = header_len + payload
 
     perf.incr("nprint.decode.packets", n)
@@ -480,22 +480,28 @@ def _clocks(
 
 
 class _LazyPackets(Sequence):
-    """A decoded flow's packets, built from its rows on first access."""
+    """A decoded flow's packets, built from its rows on first access.
 
-    __slots__ = ("_rows", "_stamps", "_packets")
+    The rows are views into the batch's packet rows; they are released
+    once the packets are built.
+    """
+
+    __slots__ = ("_rows", "_stamps", "_count", "_packets")
 
     def __init__(self, rows: np.ndarray, stamps: np.ndarray):
         self._rows = rows
         self._stamps = stamps
+        self._count = len(rows)
         self._packets: list[Packet] | None = None
 
     def _decoded(self) -> list[Packet]:
         if self._packets is None:
             self._packets = _decode_rows(self._rows, self._stamps.tolist())
+            self._rows = self._stamps = None
         return self._packets
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._count
 
     def __getitem__(self, index):
         return self._decoded()[index]
@@ -515,26 +521,31 @@ class _LazyPackets(Sequence):
 class FlowBatch(Sequence):
     """An immutable batch of decoded flows, held as arrays.
 
-    ``matrices`` is the ``(n, P, 1088)`` ternary input, ``counts`` the
-    packets per flow, and ``stamps`` / ``records`` every packet's
-    timestamp and wire bytes in flow-major order — what
+    ``counts`` holds the packets per flow; ``rows``, ``stamps`` and
+    ``records`` hold every packet's ternary row, timestamp and wire bytes
+    in flow-major order.  ``stamps`` and ``records`` are what
     :meth:`repro.net.pcap.PcapWriter.write_many` takes, and what
     :func:`repro.net.packet.render_flows` returns for a batch.
+    ``matrices`` is the ``(n, P, 1088)`` input the batch was decoded
+    from, or None once :meth:`without_matrices` dropped it.
 
     Indexing yields :class:`Flow` objects (cached per batch) whose
     ``packets`` are decoded from the flow's rows on first access, so a
     caller that only writes pcap or counts packets never builds a
-    :class:`Packet`.  A contiguous slice is a ``FlowBatch`` view of the
-    same arrays.
+    :class:`Packet`.  Such a flow keeps the batch's ``rows`` alive until
+    its packets are built; :meth:`to_flows` returns flows that hold no
+    array.  A contiguous slice is a ``FlowBatch`` view of the same arrays.
     """
 
-    def __init__(self, matrices, counts, stamps, records, label: str = ""):
-        self.matrices = matrices
+    def __init__(self, rows, counts, stamps, records, label: str = "",
+                 matrices=None):
+        self.rows = rows
         self.counts = counts
         self.stamps = stamps
         self.records = records
         self.label = label
-        self._offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.matrices = matrices
+        self._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
         self._flows: list[Flow | None] = [None] * len(counts)
 
     def __len__(self) -> int:
@@ -546,20 +557,33 @@ class FlowBatch(Sequence):
             if step != 1:
                 return [self[i] for i in range(start, stop, step)]
             stop = max(start, stop)
-            lo, hi = int(self._offsets[start]), int(self._offsets[stop])
+            lo, hi = self._offsets[start], self._offsets[stop]
             return FlowBatch(
-                self.matrices[start:stop], self.counts[start:stop],
+                self.rows[lo:hi], self.counts[start:stop],
                 self.stamps[lo:hi], self.records[lo:hi], self.label,
+                None if self.matrices is None else self.matrices[start:stop],
             )
         i = range(len(self))[index]
         flow = self._flows[i]
         if flow is None:
             lo, hi = self._offsets[i], self._offsets[i + 1]
-            packets = _LazyPackets(
-                self.matrices[i, : self.counts[i]], self.stamps[lo:hi]
-            )
+            packets = _LazyPackets(self.rows[lo:hi], self.stamps[lo:hi])
             flow = self._flows[i] = Flow(packets=packets, label=self.label)
         return flow
+
+    def without_matrices(self) -> "FlowBatch":
+        """The same flows without the ``(n, P, 1088)`` input matrices."""
+        return FlowBatch(self.rows, self.counts, self.stamps, self.records,
+                         self.label)
+
+    def to_flows(self) -> list[Flow]:
+        """Plain :class:`Flow` objects, every packet decoded now in one
+        pass; they hold no reference to the batch's arrays."""
+        packets = _decode_rows(self.rows, self.stamps.tolist())
+        return [
+            Flow(packets=packets[lo:hi], label=self.label)
+            for lo, hi in zip(self._offsets[:-1], self._offsets[1:])
+        ]
 
     def __repr__(self) -> str:
         return (f"FlowBatch({len(self)} flows, {len(self.records)} packets, "
@@ -588,9 +612,10 @@ def decode_batch(
     vacant = (matrices == VACANT).all(axis=2)
     counts = np.where(vacant.any(axis=1), vacant.argmax(axis=1), p)
     live = np.arange(p) < counts[:, None]
+    rows = matrices[live]
     stamps = _clocks(gaps, n, p, start_time)[live]
-    records = _wire_records(matrices[live])
-    return FlowBatch(matrices, counts, stamps, records, label)
+    return FlowBatch(rows, counts, stamps, _wire_records(rows), label,
+                     matrices)
 
 
 def decode_flow(
@@ -599,16 +624,21 @@ def decode_flow(
     label: str = "",
     start_time: float = 0.0,
     strict: bool = False,
-) -> DecodedFlow:
+) -> DecodedFlow | FlowBatch:
     """Decode a ``(P, 1088)`` ternary matrix back into a :class:`Flow`.
 
     ``gaps`` optionally supplies inter-arrival seconds per row (see
     :func:`repro.nprint.encoder.interarrival_channel`); without it packets
     are spaced 1 ms apart.  All-vacant rows terminate the flow (padding).
-    Non-strict decoding never raises (vacant bits read as zero) and is a
-    one-flow :func:`decode_batch`; ``strict=True`` decodes row by row with
-    :func:`decode_packet` and raises on the first inconsistent row.
+    Non-strict decoding never raises (vacant bits read as zero) and is
+    :func:`decode_batch`: a ``(n, P, 1088)`` batch with ``(n, P)`` gaps
+    returns its :class:`FlowBatch`, one matrix a :class:`DecodedFlow` of
+    a one-flow batch.  ``strict=True`` takes one matrix, decodes it row by
+    row with :func:`decode_packet` and raises on the first inconsistent
+    row.
     """
+    if matrix.ndim == 3 and not strict:
+        return decode_batch(matrix, gaps, label, start_time)
     if matrix.ndim != 2 or matrix.shape[1] != NPRINT_BITS:
         raise ValueError(f"expected (P, {NPRINT_BITS}) matrix, got {matrix.shape}")
     if gaps is not None:

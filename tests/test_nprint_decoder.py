@@ -228,6 +228,34 @@ class TestDecodeBatch:
         assert batch[0] is batch[0]
         assert [p.transport.seq for p in packets] == \
             [p.transport.seq for p in sample_flow.packets]
+        assert packets._rows is None  # decoded: the batch rows are let go
+        assert len(packets) == 5
+
+    def test_to_flows_equals_lazy_flows(self, sample_flow):
+        m = encode_flow(sample_flow, max_packets=8)
+        batch = decode_batch(np.stack([m, m[::-1], m]),
+                             gaps=np.full((3, 8), 0.5), label="x")
+        flows = batch.to_flows()
+        assert [type(f.packets) for f in flows] == [list] * 3
+        assert [f.label for f in flows] == ["x"] * 3
+        assert [f.packets for f in flows] == [list(f.packets) for f in batch]
+
+    def test_without_matrices_keeps_flows(self, sample_flow):
+        m = encode_flow(sample_flow, max_packets=8)
+        batch = decode_batch(np.stack([m, m]))
+        slim = batch.without_matrices()
+        assert slim.matrices is None and slim[1:].matrices is None
+        assert slim.records == batch.records
+        assert list(slim[1].packets) == list(batch[1].packets)
+
+    def test_decode_flow_of_a_batch_is_decode_batch(self, sample_flow):
+        m = encode_flow(sample_flow, max_packets=8)
+        batch = decode_flow(np.stack([m, m]), gaps=np.full((2, 8), 0.5))
+        assert isinstance(batch, FlowBatch)
+        one = decode_flow(m, gaps=np.full(8, 0.5)).flow
+        assert batch.records == 2 * [p.to_bytes() for p in one.packets]
+        with pytest.raises(ValueError):
+            decode_flow(np.stack([m, m]), strict=True)
 
     def test_slice_is_view(self, sample_flow):
         m = encode_flow(sample_flow, max_packets=8)
@@ -235,6 +263,7 @@ class TestDecodeBatch:
         part = batch[1:]
         assert isinstance(part, FlowBatch)
         assert np.shares_memory(part.matrices, batch.matrices)
+        assert np.shares_memory(part.rows, batch.rows)
         assert part.counts.tolist() == [0, 5]  # reversed: padding first
         assert part.records == batch.records[5:]
         assert len(part[0]) == 0 and len(part[1]) == 5

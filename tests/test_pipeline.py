@@ -116,6 +116,15 @@ class TestGeneration:
         for app in TRAIN_APPS:
             assert labels.count(app) == 4
 
+    def test_generate_returns_plain_flows(self, fitted):
+        """Flows kept by a caller hold their packets, not the chunk's arrays."""
+        rng = np.random.default_rng(5)
+        flows = fitted.generate("netflix", 3, rng=rng)
+        assert all(type(f.packets) is list for f in flows)
+        batch = fitted.generate_raw("netflix", 3,
+                                    rng=np.random.default_rng(5)).flows
+        assert [f.packets for f in flows] == [list(f.packets) for f in batch]
+
     def test_sample_latents_shape(self, fitted):
         z = fitted.sample_latents("netflix", 5, steps=8)
         assert z.shape == (5, fitted.codec.latent_dim)

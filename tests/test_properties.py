@@ -21,7 +21,7 @@ from repro.core.controlnet import apply_structure_guidance, protocol_mask
 from repro.core.postprocess import (
     channel_to_gaps,
     gaps_to_channel,
-    matrices_to_flows,
+    matrix_to_flow,
 )
 from repro.core.schedule import NoiseSchedule
 from repro.imaging.colormap import (
@@ -363,7 +363,7 @@ class TestArrayFinalizeProperties:
         continuous, channels, mask, _ = inputs
         guided = (continuous if mask is None
                   else apply_structure_guidance(continuous, mask))
-        batch = matrices_to_flows(guided, channels, label="x")
+        batch = matrix_to_flow(guided, channels, label="x")
         datas, stamps = render_flows(batch)
         assert len(datas) == len(stamps) == sum(batch.counts)
         at = 0

@@ -124,6 +124,7 @@ class TestShardedGeneration:
         assert results[0].matrices is None
         assert results[0].continuous is None
         assert results[0].gaps is None
+        assert results[0].flows.matrices is None
         assert len(results[0].flows) == 8
         assert all(f.label == "netflix" for f in results[0].flows)
 
