@@ -14,16 +14,12 @@ The Gram-matrix trick keeps fitting cheap in the common regime here
 Memory-mapped training matrices: ``fit``/``encode`` accept a float32
 ``np.memmap`` (the pipeline's ``memmap_dir`` fit tier writes one) and
 switch to a row-blocked path that never materialises the full ``(n, D)``
-matrix in RAM — only one ~64 MB block of centred rows at a time.  Products
-route through the pluggable GEMM backend, so the blocked/threaded backend
-accelerates the codec too.
+matrix in RAM — only one ~64 MB block of centred rows at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.ml.nn import backend as _backend
 
 #: target bytes per row block on the low-memory (memmap) paths.
 _LOWMEM_BLOCK_BYTES = 64 << 20
@@ -115,7 +111,7 @@ class LatentCodec:
                 total_sq += float((Xi ** 2).sum())
                 for j0 in range(i0, n, block):
                     Xj = Xi if j0 == i0 else X[j0:j0 + block] - mean
-                    g = _backend.matmul(Xi, Xj.T).astype(np.float64)
+                    g = (Xi @ Xj.T).astype(np.float64)
                     gram[i0:i0 + len(Xi), j0:j0 + len(Xj)] = g
                     if j0 != i0:
                         gram[j0:j0 + len(Xj), i0:i0 + len(Xi)] = g.T
@@ -133,7 +129,7 @@ class LatentCodec:
             for i0 in range(0, n, block):
                 Xi = X[i0:i0 + block] - mean
                 total_sq += float((Xi ** 2).sum())
-                cov += _backend.matmul(Xi.T, Xi).astype(np.float64)
+                cov += (Xi.T @ Xi).astype(np.float64)
             eigvals, eigvecs = np.linalg.eigh(cov)
             order = np.argsort(eigvals)[::-1][:k]
             singular_sq = np.maximum(eigvals[order], self.eps)
@@ -154,12 +150,11 @@ class LatentCodec:
             block = _lowmem_block_rows(dim)
             out = np.empty((n, self.latent_dim), dtype=np.float64)
             for i0 in range(0, n, block):
-                scores = _backend.matmul(X[i0:i0 + block] - self.mean_,
-                                         self.components_)
+                scores = (X[i0:i0 + block] - self.mean_) @ self.components_
                 out[i0:i0 + len(scores)] = scores / self.scales_
             return out
         X = np.asarray(X, dtype=np.float32)
-        scores = _backend.matmul(X - self.mean_, self.components_)
+        scores = (X - self.mean_) @ self.components_
         return (scores / self.scales_).astype(np.float64)
 
     def decode(self, Z: np.ndarray) -> np.ndarray:
@@ -168,9 +163,9 @@ class LatentCodec:
             raise RuntimeError("decode before fit")
         Z = np.asarray(Z, dtype=np.float64)
         scaled = (Z * self.scales_).astype(np.float32)
-        # In-place mean add on the fresh (workspace-backed) product: same
-        # values as ``mean_ + prod`` with one fewer (n, D) allocation.
-        out = _backend.matmul(scaled, self.components_.T)
+        # In-place mean add on the fresh product: same values as
+        # ``mean_ + prod`` with one fewer (n, D) allocation.
+        out = scaled @ self.components_.T
         out += self.mean_
         return out
 

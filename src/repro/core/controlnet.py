@@ -26,7 +26,6 @@ import numpy as np
 
 from repro import perf
 from repro.ml.nn import Linear, Module, Tensor, ZeroLinear
-from repro.ml.nn import backend as _backend
 from repro.nprint.fields import NPRINT_BITS, REGION_SLICES, VACANT
 
 
@@ -124,7 +123,7 @@ class ControlNetBranch(Module):
         """Per-block injections as raw arrays — no autograd tape.
 
         Bitwise-identical to ``[t.data for t in self(mask)]`` (same
-        GEMM-backend products, same ufunc order); the compiled inference
+        matmul products, same ufunc order); the compiled inference
         engine calls this once per class and caches the result for every
         chunk of a streaming run.
         """
@@ -132,7 +131,7 @@ class ControlNetBranch(Module):
         pooled = self.pool_mask(mask)
 
         def affine(layer: Linear, x: np.ndarray) -> np.ndarray:
-            out = _backend.matmul(x, layer.weight.data)
+            out = x @ layer.weight.data
             if layer.bias is not None:
                 out = out + layer.bias.data
             return out

@@ -16,9 +16,8 @@ emits a flat plan of raw-``ndarray`` kernels:
   ``out=`` / ``np.matmul(..., out=)`` into buffers from a shape-keyed
   :class:`WorkspacePool`, so steady-state DDIM steps perform **zero**
   large allocations (counter-pinned by ``tests/test_infer.py``).
-* **Weight packs** — per-layer contiguous weight/bias arrays routed
-  through the pluggable GEMM backends in :mod:`repro.ml.nn.backend`
-  (naive and blocked), exactly like the eager path.
+* **Weight packs** — per-layer contiguous weight/bias arrays fed
+  straight to ``np.matmul``, the same BLAS product the eager path runs.
 * **Conditioning caches** — for a fixed DDIM schedule, the projected
   time embedding ``t_hidden`` is computed once per (timestep, rows) and
   the class conditioning ``c_hidden`` / ControlNet injections once per
@@ -49,7 +48,6 @@ import numpy as np
 
 from repro import perf
 from repro.core.denoiser import ConditionalDenoiser, sinusoidal_time_embedding
-from repro.ml.nn import backend as _backend
 from repro.ml.nn.modules import LayerNorm, Linear
 
 __all__ = [
@@ -67,18 +65,17 @@ class CompileError(TypeError):
 class WorkspacePool:
     """Refcount-guarded reusable buffers keyed by (shape, dtype).
 
-    Same invariant as the GEMM backend's pool: a buffer is free for
-    reuse iff its only references are the bucket list, the scan loop
-    variable and ``sys.getrefcount``'s own argument (== 3).  Buffers the
-    caller still holds — the previous step's ``eps`` kept alive by the
-    sampler loop, a view's ``.base`` — bump the count and are skipped,
-    so a live array is never handed out twice.  After a warm-up step or
-    two the per-step working set settles onto the same buffers and
-    ``infer.ws_miss`` / ``infer.ws_bytes`` stop moving: steady-state
-    sampling allocates nothing.
+    A buffer is free for reuse iff its only references are the bucket
+    list, the scan loop variable and ``sys.getrefcount``'s own argument
+    (== 3).  Buffers the caller still holds — the previous step's
+    ``eps`` kept alive by the sampler loop, a view's ``.base`` — bump
+    the count and are skipped, so a live array is never handed out
+    twice.  After a warm-up step or two the per-step working set
+    settles onto the same buffers and ``infer.ws_miss`` /
+    ``infer.ws_bytes`` stop moving: steady-state sampling allocates
+    nothing.
 
-    Single-threaded by design (one engine per process; the blocked GEMM
-    backend's threads never call into the pool).
+    Single-threaded by design: one engine per process.
     """
 
     _MAX_PER_KEY = 8
@@ -160,8 +157,8 @@ class _NormPack:
 
 
 def _affine(pack: _LinearPack, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = x @ w + b`` through the pluggable GEMM backend."""
-    out = _backend.matmul(x, pack.w, out=out)
+    """``out = x @ w + b``, the product written straight into ``out``."""
+    np.matmul(x, pack.w, out=out)
     if pack.b is not None:
         out += pack.b
     return out
@@ -297,12 +294,12 @@ class CompiledDenoiser:
             np.asarray([key[0]], dtype=np.int64), self.time_dim
         ).astype(self.dtype, copy=False)
         emb = np.broadcast_to(row, (rows, self.time_dim))
-        h1 = _backend.matmul(emb, self.time_proj1.w)
+        h1 = emb @ self.time_proj1.w
         if self.time_proj1.b is not None:
             h1 = h1 + self.time_proj1.b
         sig = 1.0 / (1.0 + np.exp(-h1))
         h1 = h1 * sig
-        th = _backend.matmul(h1, self.time_proj2.w)
+        th = h1 @ self.time_proj2.w
         if self.time_proj2.b is not None:
             th = th + self.time_proj2.b
         self._t_hidden[key] = th
@@ -313,7 +310,7 @@ class CompiledDenoiser:
 
     def cond_hidden(self, cond: np.ndarray) -> np.ndarray:
         """Project a conditioning batch once (cached via ``eps_model``)."""
-        ch = _backend.matmul(cond, self.cond_proj.w)
+        ch = cond @ self.cond_proj.w
         if self.cond_proj.b is not None:
             ch = ch + self.cond_proj.b
         return ch

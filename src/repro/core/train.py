@@ -1,10 +1,10 @@
 """Compiled training plans for the diffusion fit step.
 
 Training is the last eager hot path: every cold ``run_all`` (and every
-cache-miss refit in a backend sweep) walks the dynamic autograd tape
-step-by-step, paying ``Tensor`` bookkeeping, fresh allocations for every
-intermediate *and* every gradient, and a per-parameter Python loop in the
-optimizer.  :func:`compile_training` removes all three, mirroring
+cache-miss refit) walks the dynamic autograd tape step-by-step, paying
+``Tensor`` bookkeeping, fresh allocations for every intermediate *and*
+every gradient, and a per-parameter Python loop in the optimizer.
+:func:`compile_training` removes all three, mirroring
 :func:`repro.core.infer.compile_denoiser` but for the full fit step:
 
 * **Fused forward + analytic backward** — the ``ConditionalDenoiser``
@@ -18,10 +18,10 @@ optimizer.  :func:`compile_training` removes all three, mirroring
   ``tests/test_train_compiled.py``).
 * **Packed parameters** — every trained parameter, gradient, Adam
   moment and EMA shadow lives in one contiguous float64 pack;
-  weight-gradient GEMMs write straight into pack views through the
-  pluggable GEMM backends (:mod:`repro.ml.nn.backend`), and the Adam +
-  EMA updates are single fused in-place passes over the flat packs — no
-  per-parameter Python loop, no temporaries.
+  weight-gradient GEMMs write straight into pack views through
+  ``np.matmul(..., out=)``, and the Adam + EMA updates are single fused
+  in-place passes over the flat packs — no per-parameter Python loop, no
+  temporaries.
 * **Frozen-base shortcut** — the ControlNet phase trains only the
   branch, so the plan propagates data-gradients through the frozen
   denoiser but skips every frozen weight-gradient GEMM the eager tape
@@ -61,7 +61,6 @@ from repro.core.denoiser import (
 )
 from repro.core.infer import CompileError, WorkspacePool
 from repro.core.prompt import PromptEncoder, pooling_weights
-from repro.ml.nn import backend as _backend
 from repro.ml.nn.autograd import Tensor
 from repro.ml.nn.ema import ExponentialMovingAverage
 from repro.ml.nn.modules import Embedding, LayerNorm, Linear
@@ -225,14 +224,9 @@ def _aligned_named_params(module, name: str) -> list[tuple[str, Tensor]]:
 # commuted operands are only used for commutative ufuncs.
 
 
-def _affine(mm, lin: _Lin, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = x @ w + b`` through ``mm``, the active backend's matmul.
-
-    The backend method is resolved once per step (not per product) and
-    threaded in, skipping the module-level routing wrapper on the ~30
-    GEMMs of a fused step.
-    """
-    out = mm(x, lin.w, out=out)
+def _affine(lin: _Lin, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = x @ w + b``, the product written straight into ``out``."""
+    np.matmul(x, lin.w, out=out)
     out += lin.b
     return out
 
@@ -522,14 +516,6 @@ class CompiledTrainer:
         ``noise``, pre-tokenised prompt rows ``(ids, mask)``, and (the
         ControlNet phase only) the batch structure masks.
         """
-        backend = _backend.get_backend()
-        # Every mm call below passes out=, where NaiveBackend.matmul is
-        # exactly np.matmul — skip its wrapper frame (31 GEMMs/step).
-        mm = (
-            np.matmul
-            if type(backend) is _backend.NaiveBackend
-            else backend.matmul
-        )
         B = x_t.shape[0]
         nb = self._n_blocks
         train_d = self.mode == "base"
@@ -554,14 +540,14 @@ class CompiledTrainer:
             freqs=self._freqs, angles=p["angles"],
         )
         th_pre = p["th_pre"]
-        _affine(mm, self._lin_t1, t_emb, th_pre)
+        _affine(self._lin_t1, t_emb, th_pre)
         sig_t = p["sig_t"]
         s_t = p["s_t"]
         _silu_fwd(th_pre, sig_t, s_t)
         t_hidden = p["t_hidden"]
-        _affine(mm, self._lin_t2, s_t, t_hidden)
+        _affine(self._lin_t2, s_t, t_hidden)
         c_hidden = p["c_hidden"]
-        _affine(mm, self._lin_c, cond, c_hidden)
+        _affine(self._lin_c, cond, c_hidden)
 
         # ---- control branch (ControlNet phase only) ------------------
         ctrl = None
@@ -570,24 +556,24 @@ class CompiledTrainer:
             pooled = p["pooled"]
             self._cn.pool_mask(ctrl_masks, out=pooled)
             e1b = p["e1b"]
-            _affine(mm, self._lin_e1, pooled, e1b)
+            _affine(self._lin_e1, pooled, e1b)
             sig_e1 = p["sig_e1"]
             s_e1 = p["s_e1"]
             _silu_fwd(e1b, sig_e1, s_e1)
             e2b = p["e2b"]
-            _affine(mm, self._lin_e2, s_e1, e2b)
+            _affine(self._lin_e2, s_e1, e2b)
             sig_e2 = p["sig_e2"]
             hc = p["hc"]
             _silu_fwd(e2b, sig_e2, hc)
             ctrl = p["ctrl"]
             for z, ck in zip(self._zeros, ctrl):
-                _affine(mm, z, hc, ck)
+                _affine(z, hc, ck)
 
         # ---- denoiser forward ----------------------------------------
         perf.incr("denoiser.forward")
         perf.incr("denoiser.rows", B)
         h = p["h"]
-        _affine(mm, self._lin_in, x_t, h)
+        _affine(self._lin_in, x_t, h)
         mu = p["mu"]
         sq = p["sq"]                    # squares scratch, then fc2 product
         saved = p["saved"]
@@ -601,9 +587,9 @@ class CompiledTrainer:
             x += c_hidden
             if ctrl is not None:
                 x += ctrl[k]
-            _affine(mm, l1, x, f1)
+            _affine(l1, x, f1)
             _silu_fwd(f1, sg, s)
-            mm(s, l2.w, out=sq)
+            np.matmul(s, l2.w, out=sq)
             sq += l2.b
             h += sq                     # residual: h_{k+1} = h_k + fc2(...)
         cen_o = p["cen_o"]
@@ -615,7 +601,7 @@ class CompiledTrainer:
         np.multiply(nor_o, self._out_norm.gamma, out=n3)
         n3 += self._out_norm.beta
         eps = p["eps"]
-        _affine(mm, self._lin_out, n3, eps)
+        _affine(self._lin_out, n3, eps)
 
         # ---- loss ----------------------------------------------------
         diff = p["diff"]
@@ -632,9 +618,9 @@ class CompiledTrainer:
         lo = self._lin_out
         if train_d:
             d_eps.sum(axis=0, out=lo.gb)
-            mm(n3.T, d_eps, out=lo.gw)
+            np.matmul(n3.T, d_eps, out=lo.gw)
         d_n3 = p["d_n3"]
-        mm(d_eps, lo.wT, out=d_n3)
+        np.matmul(d_eps, lo.wT, out=d_n3)
         d_h = p["d_h"]
         bufA = p["bufA"]
         bufB = p["bufB"]
@@ -654,20 +640,20 @@ class CompiledTrainer:
             cen, vpe, rs, nor, x, f1, sg, s = saved[k]
             if train_d:
                 d_h.sum(axis=0, out=l2.gb)
-            mm(d_h, l2.wT, out=bufA)            # d_s
+            np.matmul(d_h, l2.wT, out=bufA)     # d_s
             if train_d:
-                mm(s.T, d_h, out=l2.gw)
+                np.matmul(s.T, d_h, out=l2.gw)
             _silu_bwd(bufA, f1, sg, bufB)       # d_f1b
             if train_d:
                 bufB.sum(axis=0, out=l1.gb)
-            mm(bufB, l1.wT, out=bufC)           # d_x
+            np.matmul(bufB, l1.wT, out=bufC)    # d_x
             if train_d:
-                mm(x.T, bufB, out=l1.gw)
+                np.matmul(x.T, bufB, out=l1.gw)
             if d_hc is not None:
                 z = self._zeros[k]
                 bufC.sum(axis=0, out=z.gb)
-                mm(hc.T, bufC, out=z.gw)
-                mm(bufC, z.wT, out=bufA)
+                np.matmul(hc.T, bufC, out=z.gw)
+                np.matmul(bufC, z.wT, out=bufA)
                 # Shared h_c accumulates in reverse block order: the
                 # deepest block's contribution is the first touch (copy).
                 if k == nb - 1:
@@ -687,13 +673,13 @@ class CompiledTrainer:
         if train_d:
             li = self._lin_in
             d_h.sum(axis=0, out=li.gb)
-            mm(x_t.T, d_h, out=li.gw)
+            np.matmul(x_t.T, d_h, out=li.gw)
             # Conditioning chain: cond_proj -> prompt embedding table.
             lc = self._lin_c
             d_ch.sum(axis=0, out=lc.gb)
             d_cond = p["d_cond"]
-            mm(d_ch, lc.wT, out=d_cond)
-            mm(cond.T, d_ch, out=lc.gw)
+            np.matmul(d_ch, lc.wT, out=d_cond)
+            np.matmul(cond.T, d_ch, out=lc.gw)
             np.multiply(d_cond[:, None, :], w3, out=prod)   # d_emb
             gt = self._g_table
             gt[:] = 0.0
@@ -701,23 +687,23 @@ class CompiledTrainer:
             # Time chain: time_proj2 -> SiLU -> time_proj1.
             lt2 = self._lin_t2
             d_th.sum(axis=0, out=lt2.gb)
-            mm(d_th, lt2.wT, out=bufA)
-            mm(s_t.T, d_th, out=lt2.gw)
+            np.matmul(d_th, lt2.wT, out=bufA)
+            np.matmul(s_t.T, d_th, out=lt2.gw)
             _silu_bwd(bufA, th_pre, sig_t, bufB)
             lt1 = self._lin_t1
             bufB.sum(axis=0, out=lt1.gb)
-            mm(t_emb.T, bufB, out=lt1.gw)
+            np.matmul(t_emb.T, bufB, out=lt1.gw)
         else:
             # ControlNet encoder chain (the only trained weights).
             le2 = self._lin_e2
             _silu_bwd(d_hc, e2b, sig_e2, bufA)  # d_e2
             bufA.sum(axis=0, out=le2.gb)
-            mm(bufA, le2.wT, out=bufB)          # d_s_e1
-            mm(s_e1.T, bufA, out=le2.gw)
+            np.matmul(bufA, le2.wT, out=bufB)   # d_s_e1
+            np.matmul(s_e1.T, bufA, out=le2.gw)
             le1 = self._lin_e1
             _silu_bwd(bufB, e1b, sig_e1, bufA)  # d_e1
             bufA.sum(axis=0, out=le1.gb)
-            mm(pooled.T, bufA, out=le1.gw)
+            np.matmul(pooled.T, bufA, out=le1.gw)
 
         # ---- fused Adam over the flat packs --------------------------
         opt = self._optimizer

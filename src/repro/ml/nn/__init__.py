@@ -7,13 +7,6 @@ test suite.
 """
 
 from repro.ml.nn.autograd import Tensor, concat, embedding_lookup, where
-from repro.ml.nn.backend import (
-    BlockedBackend,
-    NaiveBackend,
-    get_backend,
-    set_backend,
-    use_backend,
-)
 from repro.ml.nn.functional import bce_with_logits, mse_loss, softmax_cross_entropy
 from repro.ml.nn.modules import (
     Embedding,
@@ -37,11 +30,6 @@ __all__ = [
     "concat",
     "embedding_lookup",
     "where",
-    "NaiveBackend",
-    "BlockedBackend",
-    "get_backend",
-    "set_backend",
-    "use_backend",
     "Module",
     "Linear",
     "ZeroLinear",

@@ -18,8 +18,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import backend as _backend
-
 Array = np.ndarray
 
 
@@ -227,11 +225,8 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
-        # Products route through the pluggable GEMM backend
-        # (repro.ml.nn.backend); the default NaiveBackend is exactly
-        # ``a @ b`` so training stays bitwise-pinned.
         other = self._lift(other)
-        out_data = _backend.matmul(self.data, other.data)
+        out_data = self.data @ other.data
 
         def backward(grad: Array) -> None:
             a, b = self.data, other.data
@@ -239,16 +234,8 @@ class Tensor:
                 self._accumulate(grad * b)
                 other._accumulate(grad * a)
                 return
-            ga = (
-                _backend.matmul(grad, np.swapaxes(b, -1, -2))
-                if b.ndim > 1
-                else np.outer(grad, b)
-            )
-            gb = (
-                _backend.matmul(np.swapaxes(a, -1, -2), grad)
-                if a.ndim > 1
-                else np.outer(a, grad)
-            )
+            ga = grad @ np.swapaxes(b, -1, -2) if b.ndim > 1 else np.outer(grad, b)
+            gb = np.swapaxes(a, -1, -2) @ grad if a.ndim > 1 else np.outer(a, grad)
             self._accumulate(_unbroadcast(ga, a.shape))
             other._accumulate(_unbroadcast(gb, b.shape))
 

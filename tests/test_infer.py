@@ -5,8 +5,7 @@ Four guarantees pinned here:
 * **Bitwise parity** — float64 latents from the compiled plan (the only
   sampler engine) are bitwise identical to the eager autograd tape
   (``tests/eager_oracle.py``), with and without ControlNet, guided and
-  unguided, under both GEMM backends, and for tail batches that don't
-  fill ``generation_batch``.
+  unguided, and for tail batches that don't fill ``generation_batch``.
   The float32 tier is held to the same standard (bitwise today; the
   engine contract only promises tolerance there).
 * **Zero-allocation steady state** — after one warm-up sample, further
@@ -36,7 +35,6 @@ from repro.core.infer import (
 )
 from repro.core.lora import LoRALinear, inject_lora, merge_lora
 from repro.core.pipeline import PipelineConfig, TextToTrafficPipeline
-from repro.ml.nn.backend import set_backend, use_backend
 from repro.traffic.dataset import generate_app_flows
 
 
@@ -51,13 +49,6 @@ def fitted():
         ddim_steps=10, seed=9,
     )
     return TextToTrafficPipeline(config).fit(flows)
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    set_backend(None)
-    yield
-    set_backend(None)
 
 
 def _latents(pipeline, engine, n=6, steps=8, seed=21, dtype=None,
@@ -88,12 +79,6 @@ class TestBitwiseParity:
             got = _latents(fitted, "compiled")
         finally:
             fitted.class_masks["netflix"] = mask
-        assert np.array_equal(ref, got)
-
-    def test_fp64_blocked_backend(self, fitted):
-        with use_backend("blocked"):
-            ref = _latents(fitted, "eager")
-            got = _latents(fitted, "compiled")
         assert np.array_equal(ref, got)
 
     def test_fp64_tail_batches(self, fitted):

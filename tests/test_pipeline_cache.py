@@ -7,9 +7,13 @@ The load-bearing guarantee: a pipeline loaded from the cache generates
 warm- and cold-cache harness runs must agree bit-for-bit.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import perf
 from repro.core.pipeline import PipelineConfig, TextToTrafficPipeline
 from repro.core.serialization import (
@@ -157,3 +161,31 @@ class TestSessionCacheDirPlumbing:
             assert data.get_cache_dir() is None
         finally:
             data.set_cache_dir(previous)
+
+    def test_cache_dir_is_the_only_environment_read(self):
+        """The library reads no environment variable but ``REPRO_CACHE_DIR``.
+
+        Scans every ``os.environ.get(...)``, ``os.environ[...]`` and
+        ``os.getenv(...)`` under ``src/repro`` so an engine switch behind
+        an environment variable cannot quietly grow back.
+        """
+        def is_os_attr(node, name):
+            return (isinstance(node, ast.Attribute) and node.attr == name
+                    and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+        names = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Subscript) and is_os_attr(node.value, "environ"):
+                    key = node.slice
+                elif isinstance(node, ast.Call) and node.args and (
+                    is_os_attr(node.func, "getenv")
+                    or (isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+                        and is_os_attr(node.func.value, "environ"))
+                ):
+                    key = node.args[0]
+                else:
+                    continue
+                assert isinstance(key, ast.Constant), f"{path}:{node.lineno}"
+                names.add(key.value)
+        assert names == {"REPRO_CACHE_DIR"}
