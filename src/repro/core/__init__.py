@@ -30,6 +30,7 @@ from repro.core.postprocess import (
     gaps_to_channel,
     matrix_to_flow,
     quantize_matrix,
+    repair_guided,
     repair_matrix,
 )
 from repro.core.prompt import PromptCodebook, PromptEncoder, Vocabulary
@@ -72,6 +73,7 @@ __all__ = [
     "NonFiniteLatentsError",
     "quantize_matrix",
     "repair_matrix",
+    "repair_guided",
     "matrix_to_flow",
     "gaps_to_channel",
     "channel_to_gaps",

@@ -152,6 +152,22 @@ class ControlNetBranch(Module):
         )
 
 
+def packet_rows(matrix: np.ndarray) -> np.ndarray:
+    """Which rows of ``(..., P, 1088)`` matrices hard guidance keeps.
+
+    Padding rows (trailing all-vacant rows of the fixed-height image)
+    must stay padding.  Detection uses the *fixed* 20-byte IPv4 span:
+    always present (mean ~0.2) on packet rows, all vacant (-1) on
+    padding rows.  The full region would mislead — its 40 option bytes
+    are usually vacant, dragging packet rows to ~-0.58.  The mean is
+    taken in float64 whatever the input dtype: a float32 mean can land
+    on the other side of -0.5.
+    """
+    ipv4 = REGION_SLICES["ipv4"]
+    fixed = matrix[..., ipv4.start : ipv4.start + 160].astype(np.float64)
+    return fixed.mean(axis=-1) > -0.5
+
+
 def apply_structure_guidance(
     matrix: np.ndarray,
     mask: np.ndarray,
@@ -163,10 +179,11 @@ def apply_structure_guidance(
     the mask broadcasts over the leading axes.  Columns the mask marks
     unoccupied (< threshold) are forced vacant; columns it marks occupied
     have their values pulled out of the vacant range so quantisation
-    keeps them.  This is the hard inference-time constraint that
-    guarantees Fig. 2's "all packets strictly conform to the dominant
-    protocol type".  float32 input stays float32 (every output value is
-    an input value, 0, 1 or -1); anything else is promoted to float64.
+    keeps them.  Rows that are not :func:`packet_rows` become all vacant.
+    This is the hard inference-time constraint that guarantees Fig. 2's
+    "all packets strictly conform to the dominant protocol type".
+    float32 input stays float32 (every output value is an input value,
+    0, 1 or -1); anything else is promoted to float64.
     """
     matrix = np.asarray(matrix)
     if matrix.dtype != np.float32:
@@ -174,19 +191,9 @@ def apply_structure_guidance(
     mask = np.asarray(mask, dtype=np.float64)
     if matrix.ndim < 2 or matrix.shape[-1] != mask.shape[0]:
         raise ValueError("matrix/mask shape mismatch")
-    # Padding rows (trailing all-vacant rows of the fixed-height image)
-    # must stay padding.  Detection uses the *fixed* 20-byte IPv4 span:
-    # always present (mean ~0.2) on packet rows, all vacant (-1) on
-    # padding rows.  The full region would mislead — its 40 option bytes
-    # are usually vacant, dragging packet rows to ~-0.58.  The mean is
-    # taken in float64 whatever the input dtype: a float32 mean can land
-    # on the other side of -0.5.
-    ipv4 = REGION_SLICES["ipv4"]
-    fixed = matrix[..., ipv4.start : ipv4.start + 160].astype(np.float64)
-    packet_rows = fixed.mean(axis=-1) > -0.5
     off = mask < threshold
     # Pull occupied columns of packet rows out of the vacant band.
     guided = np.clip(matrix, 0.0, 1.0)
     np.copyto(guided, -1.0, where=off)
-    guided[~packet_rows] = -1.0
+    guided[~packet_rows(matrix)] = -1.0
     return guided

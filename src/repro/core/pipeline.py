@@ -30,7 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.autoencoder import LatentCodec
-from repro.core.controlnet import (
+# apply_structure_guidance is not called here: hard guidance runs fused
+# into matrix_to_flow.  It stays bound in this module as the guidance
+# layer's name, so tracers that wrap the pipeline's layers still find it.
+from repro.core.controlnet import (  # noqa: F401
     ControlNetBranch,
     apply_structure_guidance,
     structure_mask,
@@ -828,8 +831,10 @@ class TextToTrafficPipeline:
         The second half of :meth:`generate_raw`, shared verbatim with the
         streaming and coalesced paths so they are byte-identical to batch.
         The whole batch goes through guidance, quantisation, repair and
-        decode as arrays, one pass each; with ``state_repair`` the flows
-        are then rebuilt as objects.
+        decode as arrays; with ``hard_guidance`` the first three are one
+        pass of the class mask's column plan
+        (:func:`~repro.core.postprocess.repair_guided`).  With
+        ``state_repair`` the flows are then rebuilt as objects.
 
         ``part_sizes`` splits the rows into coalesced requests for the
         codec alone: each part's latents are decoded on their own, as
@@ -845,18 +850,15 @@ class TextToTrafficPipeline:
                     np.split(latents, np.cumsum(part_sizes)[:-1])
                 ])
             continuous, gap_channels = self._devectorize(vectors)
-            guided = continuous
-            if hard_guidance:
-                guided = apply_structure_guidance(
-                    continuous, self.class_masks[class_name]
-                )
-            batch = matrix_to_flow(guided, gap_channels, label=class_name)
+            gaps = channel_to_gaps(gap_channels)
+            mask = self.class_masks[class_name] if hard_guidance else None
+            batch = matrix_to_flow(continuous, label=class_name, mask=mask,
+                                   gaps=gaps)
             flows = batch
             if state_repair:
                 # Batch repair assigns distinct client ports so flows from
                 # one generation call never collide on a 5-tuple at replay.
                 flows = repair_flows_state(batch.to_flows(), rng or self._rng)
-            gaps = channel_to_gaps(gap_channels)
         return GenerationResult(
             flows=flows,
             matrices=batch.matrices,

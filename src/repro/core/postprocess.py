@@ -12,7 +12,9 @@ into nprint and finally into pcap format" (§3.1).  Here that is:
 4. serialise through :mod:`repro.net.pcap`.
 
 Each step runs once over a whole ``(n, P, 1088)`` batch of flows
-(:func:`matrix_to_flow`); a single flow is a batch of one.
+(:func:`matrix_to_flow`); a single flow is a batch of one.  Under hard
+structure guidance, steps 1 and 2 and the guidance before them reduce to
+one per-mask column plan (:func:`repair_guided`).
 
 The timing channel (per-packet inter-arrival gaps) travels alongside the
 bit matrix through the codec; :func:`gaps_to_channel` and
@@ -21,8 +23,11 @@ bit matrix through the codec; :func:`gaps_to_channel` and
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from repro.core.controlnet import apply_structure_guidance, packet_rows
 from repro.imaging.colormap import continuous_to_ternary
 from repro.nprint.decoder import DecodedFlow, FlowBatch, decode_flow
 from repro.nprint.fields import (
@@ -135,21 +140,89 @@ def repair_matrix(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _column_plan(mask_bytes: bytes) -> tuple[np.ndarray, tuple]:
+    """``(template, runs)`` of a float64 mask given as its bytes.
+
+    Two one-row flows, all 1.0 and all 0.0, go through the reference
+    chain.  A column that comes out 1 and 0 copies its quantised bit
+    (its runs are ``runs``); one that comes out equal is forced to that
+    value, which ``template`` holds (copy columns hold 0).
+    """
+    mask = np.frombuffer(mask_bytes, dtype=np.float64)
+    rows = np.array([1.0, 0.0])[:, None, None] * np.ones(NPRINT_BITS)
+    ones, zeros = repair_matrix(
+        quantize_matrix(apply_structure_guidance(rows, mask)))[:, 0]
+    copy = ones != zeros
+    edges = np.flatnonzero(np.diff(copy, prepend=False, append=False))
+    runs = tuple(zip(edges[::2].tolist(), edges[1::2].tolist()))
+    template = np.where(copy, 0, ones).astype(np.int8)
+    template.flags.writeable = False  # shared by every caller of the cache
+    return template, runs
+
+
+def repair_guided(continuous: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``repair_matrix(quantize_matrix(apply_structure_guidance(continuous,
+    mask)))`` in one pass over ``continuous``.
+
+    Under hard guidance every present bit of a packet row sits in one of
+    the mask's on-columns, and every decision :func:`repair_matrix`
+    takes (the flow cut, the transport winner, which option words stay)
+    reads presence only, never a bit's value.  So each column of a live
+    row is fixed per mask: it copies the quantised bit (``x >= 0.5``),
+    or it is forced to 0 or to vacant.  :func:`_column_plan` derives
+    that plan once per mask content from the reference chain itself.  A
+    row is live while it and every row before it in its flow pass
+    guidance's :func:`~repro.core.controlnet.packet_rows` test; other
+    rows are padding.  Bitwise equal to the chain for float32 and
+    float64 input (pinned by a property test).
+    """
+    continuous = np.asarray(continuous)
+    if continuous.dtype != np.float32:
+        continuous = np.asarray(continuous, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    if continuous.ndim not in (2, 3) or continuous.shape[-1] != NPRINT_BITS \
+            or mask.shape != (NPRINT_BITS,):
+        raise ValueError(
+            f"expected ([n,] P, {NPRINT_BITS}) and a ({NPRINT_BITS},) mask, "
+            f"got {continuous.shape} and {mask.shape}"
+        )
+    template, runs = _column_plan(mask.tobytes())
+    out = np.empty(continuous.shape, dtype=np.int8)
+    out[...] = template
+    bits = out.view(np.bool_)
+    for start, stop in runs:
+        np.greater_equal(continuous[..., start:stop], 0.5,
+                         out=bits[..., start:stop])
+    live = np.logical_and.accumulate(packet_rows(continuous), axis=-1)
+    out[~live] = VACANT
+    return out
+
+
 def matrix_to_flow(
     continuous: np.ndarray,
     gaps_channel: np.ndarray | None = None,
     label: str = "",
     start_time: float = 0.0,
+    *,
+    mask: np.ndarray | None = None,
+    gaps: np.ndarray | None = None,
 ) -> DecodedFlow | FlowBatch:
     """Full back-transform: continuous matrix (+ timing channel) -> flow.
 
     One ``(P, 1088)`` matrix gives a :class:`DecodedFlow`; a batch of
     ``(n, P, 1088)`` matrices with ``(n, P)`` channels gives a
     :class:`FlowBatch`, each step one array pass over the whole batch.
+    ``mask`` applies hard structure guidance first, fused with
+    quantisation and repair (:func:`repair_guided`).  ``gaps`` gives
+    the inter-arrival seconds directly, in place of ``gaps_channel``.
     """
-    ternary = quantize_matrix(continuous)
-    repaired = repair_matrix(ternary)
-    gaps = None
+    if mask is None:
+        repaired = repair_matrix(quantize_matrix(continuous))
+    else:
+        repaired = repair_guided(continuous, mask)
     if gaps_channel is not None:
+        if gaps is not None:
+            raise ValueError("pass gaps_channel or gaps, not both")
         gaps = channel_to_gaps(gaps_channel)
     return decode_flow(repaired, gaps=gaps, label=label, start_time=start_time)

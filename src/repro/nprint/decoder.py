@@ -263,18 +263,52 @@ def _read_fields_batch(rows: np.ndarray) -> dict[str, np.ndarray]:
     return values
 
 
+# Byte boundaries of every span the decoder counts present bits over:
+# the transport regions and both option spans, all byte-aligned.
+_COUNT_BYTES = sorted(
+    {0, NPRINT_BITS // 8}
+    | {b // 8 for _, fs in _TRANSPORT_REGIONS for b in (fs.start, fs.stop)}
+    | {b // 8 for name in ("ipv4.options", "tcp.options")
+       for b in (FIELDS[name].start, FIELDS[name].stop)}
+)
+_COUNT_COLUMN = {b: i for i, b in enumerate(_COUNT_BYTES)}
+
+
+def _presence_counts(rows: np.ndarray) -> np.ndarray:
+    """Running count of present (non-vacant) bits per row at every
+    :data:`_COUNT_BYTES` boundary, ``(n, len(_COUNT_BYTES))``.
+
+    One ``np.packbits`` of the presence bits, a popcount per byte and
+    one segment sum; a span's count is the difference of two columns
+    (:func:`_span_counts`).
+    """
+    packed = np.packbits(rows != VACANT, axis=1)
+    segments = np.add.reduceat(np.bitwise_count(packed), _COUNT_BYTES[:-1],
+                               axis=1, dtype=np.int64)
+    cum = np.zeros((len(rows), len(_COUNT_BYTES)), dtype=np.int64)
+    np.cumsum(segments, axis=1, out=cum[:, 1:])
+    return cum
+
+
+def _span_counts(cum: np.ndarray, fs: FieldSlice) -> np.ndarray:
+    """Per-row present-bit count of the span ``fs``."""
+    return (cum[:, _COUNT_COLUMN[fs.stop // 8]]
+            - cum[:, _COUNT_COLUMN[fs.start // 8]])
+
+
 def _transport_protocols(
-    present: np.ndarray, declared: np.ndarray
+    cum: np.ndarray, declared: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row :func:`infer_transport` with :func:`decode_packet`'s
     fallback: ``(emitted protocols, rows with no vote)``.
 
-    Rows where no transport region is >= 25% occupied keep a declared
+    ``cum`` is :func:`_presence_counts` of the rows; ``count / width``
+    is the same float64 as the mean of the span's presence bits.  Rows
+    where no transport region is >= 25% occupied keep a declared
     ``ipv4.proto`` of 1, 6 or 17 and become TCP otherwise.
     """
     occ = np.stack([
-        present[:, fs.start : fs.stop].mean(axis=1)
-        for _, fs in _TRANSPORT_REGIONS
+        _span_counts(cum, fs) / fs.width for _, fs in _TRANSPORT_REGIONS
     ])
     voted = np.array([p for p, _ in _TRANSPORT_REGIONS])[occ.argmax(axis=0)]
     no_vote = occ.max(axis=0) < 0.25
@@ -287,11 +321,11 @@ def _transport_protocols(
 def _decode_rows(rows: np.ndarray, timestamps: list[float]) -> list[Packet]:
     """Row-batched non-strict :func:`decode_packet` over live rows."""
     vals = _read_fields_batch(rows)
-    present = rows != VACANT
-    protos, _ = _transport_protocols(present, vals["ipv4.proto"])
+    cum = _presence_counts(rows)
+    protos, _ = _transport_protocols(cum, vals["ipv4.proto"])
 
-    ip_opt_bytes = _option_lengths(present, FIELDS["ipv4.options"])
-    tcp_opt_bytes = _option_lengths(present, FIELDS["tcp.options"])
+    ip_opt_bytes = _option_lengths(cum, FIELDS["ipv4.options"])
+    tcp_opt_bytes = _option_lengths(cum, FIELDS["tcp.options"])
 
     packets = []
     for i in range(len(rows)):
@@ -363,12 +397,9 @@ def _decode_rows(rows: np.ndarray, timestamps: list[float]) -> list[Packet]:
     return packets
 
 
-
-
-def _option_lengths(present: np.ndarray, fs: FieldSlice) -> np.ndarray:
+def _option_lengths(cum: np.ndarray, fs: FieldSlice) -> np.ndarray:
     """Per-row :func:`_option_length` (word-aligned present byte count)."""
-    counts = present[:, fs.start : fs.stop].sum(axis=1)
-    return (counts // 8 // 4) * 4
+    return (_span_counts(cum, fs) // 8 // 4) * 4
 
 
 def _region_bytes(name: str) -> slice:
@@ -380,7 +411,8 @@ def _region_bytes(name: str) -> slice:
 def _wire_records(rows: np.ndarray) -> list[bytes]:
     """Wire bytes of every row: ``decode_packet(row).to_bytes()`` in bulk.
 
-    One ``np.packbits`` yields every header byte the rows carry.  The
+    One ``np.packbits`` yields every header byte the rows carry, and a
+    second one the presence counts (:func:`_presence_counts`).  The
     transport vote, option lengths and payload clamp run over all rows at
     once; lengths, protocol and checksums are then patched column-wise,
     and the ragged IPv4 + transport headers are scattered into one
@@ -388,18 +420,18 @@ def _wire_records(rows: np.ndarray) -> list[bytes]:
     records.  Counts decoder repairs in ``nprint.decode.*``.
     """
     n = len(rows)
-    present = rows != VACANT
+    cum = _presence_counts(rows)
     packed = np.packbits(rows == 1, axis=1)
 
     declared = packed[:, 9].astype(np.int64)
-    protos, no_vote = _transport_protocols(present, declared)
+    protos, no_vote = _transport_protocols(cum, declared)
     tcp = protos == IPProto.TCP
     udp = protos == IPProto.UDP
     icmp = protos == IPProto.ICMP
 
-    ip_len = 20 + _option_lengths(present, FIELDS["ipv4.options"])
+    ip_len = 20 + _option_lengths(cum, FIELDS["ipv4.options"])
     tr_len = np.where(
-        tcp, 20 + _option_lengths(present, FIELDS["tcp.options"]), 8
+        tcp, 20 + _option_lengths(cum, FIELDS["tcp.options"]), 8
     )
     header_len = ip_len + tr_len
     declared_total = (packed[:, 2].astype(np.int64) << 8) | packed[:, 3]

@@ -4,11 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.net.headers import ICMPHeader, TCPFlags, TCPHeader, UDPHeader
 from repro.net.packet import Packet, build_packet
 from repro.net.flow import Flow
 from repro.traffic.dataset import build_service_recognition_dataset
+
+# Hypothesis examples for properties that leave ``max_examples`` to the
+# profile (``TestArrayFinalizeProperties``): tier-1 runs "tier1"; CI
+# reruns them with ``--hypothesis-profile thorough``.
+settings.register_profile("tier1", max_examples=50)
+settings.register_profile("thorough", max_examples=500)
+
+
+def pytest_configure(config):
+    if not config.getoption("hypothesis_profile", None):
+        settings.load_profile("tier1")
 
 
 @pytest.fixture

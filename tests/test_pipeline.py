@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.controlnet import apply_structure_guidance
 from repro.core.pipeline import (
     NULL_PROMPT,
     PipelineConfig,
     TextToTrafficPipeline,
 )
+from repro.core.postprocess import quantize_matrix, repair_matrix
+from repro.core.serialization import load_pipeline, save_pipeline
 from repro.net.flow import Flow
 from repro.net.headers import IPProto
 from repro.net.pcap import read_pcap, write_pcap
@@ -140,6 +143,49 @@ class TestGeneration:
             assert ts == sorted(ts)
 
 
+def _guided_chain(result, mask) -> np.ndarray:
+    """The reference hard-guidance finalize of a result's continuous output."""
+    return repair_matrix(quantize_matrix(
+        apply_structure_guidance(result.continuous, mask)))
+
+
+class TestMaskCompiledFinalize:
+    """Hard-guided output follows the class's current mask: the column
+    plan is never one compiled from a mask the class no longer has."""
+
+    def test_replaced_mask_is_followed(self, fitted):
+        old = fitted.class_masks["netflix"]
+        new = fitted.class_masks["teams"]
+        first = fitted.generate_raw("netflix", 3,
+                                    rng=np.random.default_rng(0))
+        assert np.array_equal(first.matrices, _guided_chain(first, old))
+        fitted.class_masks["netflix"] = new
+        try:
+            again = fitted.generate_raw("netflix", 3,
+                                        rng=np.random.default_rng(0))
+        finally:
+            fitted.class_masks["netflix"] = old
+        assert np.array_equal(again.matrices, _guided_chain(again, new))
+        assert not np.array_equal(again.matrices, _guided_chain(again, old))
+
+    def test_loaded_archive_mask_is_followed(self, fitted, tmp_path):
+        old = fitted.class_masks["netflix"]
+        save_pipeline(fitted, tmp_path / "a.npz")
+        fitted.class_masks["netflix"] = fitted.class_masks["teams"]
+        try:
+            save_pipeline(fitted, tmp_path / "b.npz")
+        finally:
+            fitted.class_masks["netflix"] = old
+        first = load_pipeline(tmp_path / "a.npz").generate_raw("netflix", 3)
+        assert np.array_equal(first.matrices, _guided_chain(first, old))
+        loaded = load_pipeline(tmp_path / "b.npz")
+        new = loaded.class_masks["netflix"]
+        assert not np.array_equal(new, old)
+        again = loaded.generate_raw("netflix", 3)
+        assert np.array_equal(again.matrices, _guided_chain(again, new))
+        assert not np.array_equal(again.matrices, _guided_chain(again, old))
+
+
 class TestAddClass:
     def test_lora_class_addition(self, fitted, train_flows):
         new_flows = generate_app_flows("zoom", 15, seed=13)
@@ -158,6 +204,10 @@ class TestAddClass:
         flows = fitted.generate("zoom", 4)
         assert all(f.label == "zoom" for f in flows)
         assert all(len(f) > 0 for f in flows)
+        # Its hard-guided output follows the mask add_class assigned.
+        zoom = fitted.generate_raw("zoom", 3)
+        assert np.array_equal(
+            zoom.matrices, _guided_chain(zoom, fitted.class_masks["zoom"]))
         # Old classes still work.
         old = fitted.generate("netflix", 2)
         assert all(len(f) > 0 for f in old)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.controlnet import apply_structure_guidance, protocol_mask
 from repro.core.postprocess import (
     channel_to_gaps,
     gaps_to_channel,
     matrix_to_flow,
     quantize_matrix,
+    repair_guided,
     repair_matrix,
 )
 from repro.nprint.decoder import decode_packet, infer_transport
@@ -117,6 +119,31 @@ class TestMatrixToFlow:
         result = matrix_to_flow(cont, gaps_channel=gaps_to_channel(gaps))
         iats = result.flow.interarrival_times()
         assert all(g == pytest.approx(0.5, rel=1e-3) for g in iats)
+
+    def test_gaps_given_directly(self, sample_flow):
+        cont = encode_flow(sample_flow, max_packets=8).astype(np.float64)
+        gaps = np.array([0.0, 0.5, 0.25, 0.5, 0.5, 0, 0, 0])
+        channel = gaps_to_channel(gaps)
+        via_channel = matrix_to_flow(cont, gaps_channel=channel)
+        direct = matrix_to_flow(cont, gaps=channel_to_gaps(channel))
+        assert direct.flow.packets == via_channel.flow.packets
+        with pytest.raises(ValueError, match="not both"):
+            matrix_to_flow(cont, gaps_channel=channel, gaps=gaps)
+
+    def test_mask_guides_first(self, sample_flow):
+        cont = encode_flow(sample_flow, max_packets=8).astype(np.float64)
+        mask = protocol_mask("udp")
+        guided = matrix_to_flow(cont, mask=mask)
+        chain = matrix_to_flow(apply_structure_guidance(cont, mask))
+        assert guided.flow.packets == chain.flow.packets
+        assert len(guided.flow) == 5
+        assert all(p.proto == 17 for p in guided.flow.packets)
+
+    def test_repair_guided_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            repair_guided(np.zeros((4, 7)), np.zeros(7))
+        with pytest.raises(ValueError):
+            repair_guided(np.zeros((4, NPRINT_BITS)), np.zeros(7))
 
     def test_quantize_matrix_ternary(self, rng):
         cont = rng.normal(size=(4, NPRINT_BITS))

@@ -4,7 +4,8 @@ Each property pins an invariant the rest of the system leans on:
 wire-format round trips, nprint losslessness, checksum validity, codec
 linear-inverse behaviour, gap-transform invertibility, quantiser totality,
 the array-native finalize path's byte identity with its per-row oracle
-(``tests/postprocess_oracle.py``), and the autograd engine's agreement
+(``tests/postprocess_oracle.py``) and of the mask-compiled pass with the
+guidance -> quantise -> repair chain, and the autograd engine's agreement
 with finite differences.
 """
 
@@ -18,10 +19,14 @@ from hypothesis import strategies as st
 from postprocess_oracle import decode_rows, finalize_flow, quantize
 from repro.core.autoencoder import LatentCodec
 from repro.core.controlnet import apply_structure_guidance, protocol_mask
+from repro import perf
 from repro.core.postprocess import (
     channel_to_gaps,
     gaps_to_channel,
     matrix_to_flow,
+    quantize_matrix,
+    repair_guided,
+    repair_matrix,
 )
 from repro.core.schedule import NoiseSchedule
 from repro.imaging.colormap import (
@@ -300,8 +305,9 @@ def _ternary_row(draw, rng, kind: str) -> np.ndarray:
         return _packet_row(draw, rng, kind)
     row = np.full(NPRINT_BITS, VACANT, dtype=np.int8)
     if kind == "bare":
-        # Only the fixed IPv4 header: no transport region reaches 25%
-        # occupancy, so the declared protocol (or TCP) is emitted.
+        # The fixed IPv4 header and at most a quarter of each transport
+        # region: below 25% occupancy no region votes, so the declared
+        # protocol (or TCP) is emitted; at exactly 25% the region votes.
         row[:160] = rng.integers(0, 2, size=160)
         proto = FIELDS["ipv4.proto"]
         declared = draw(st.sampled_from([1, 6, 17, 99]))
@@ -309,17 +315,54 @@ def _ternary_row(draw, rng, kind: str) -> np.ndarray:
             (declared >> (7 - b)) & 1 for b in range(8)]
         for name in ("tcp", "udp", "icmp"):
             fs = REGION_SLICES[name]
-            width = draw(st.integers(0, fs.width // 5))
+            width = draw(st.integers(0, fs.width // 4))
             row[fs.start : fs.start + width] = rng.integers(0, 2, size=width)
     elif kind == "noise":
         row[:] = rng.integers(-1, 2, size=NPRINT_BITS)
     return row
 
 
+def _finalize_mask(draw, rng) -> np.ndarray | None:
+    """A structure mask, or None (hard guidance off)."""
+    kind = draw(st.sampled_from(
+        [None, "tcp", "udp", "icmp", "random", "levels", "multi", "cut"]))
+    if kind in ("tcp", "udp", "icmp"):
+        return protocol_mask(kind)
+    if kind == "random":
+        return rng.uniform(0.0, 1.0, size=NPRINT_BITS)
+    if kind == "levels":
+        # Entries exactly at the 0.5 threshold (on) and just below (off).
+        return rng.choice([0.0, np.nextafter(0.5, 0.0), 0.5, 1.0],
+                          size=NPRINT_BITS)
+    if kind == "multi":
+        # Two or three transport regions on, each to a drawn share of
+        # its columns: the occupancy vote (ties included) picks one.
+        mask = protocol_mask("tcp", occupancy=0.0)
+        mask[:160] = 1.0
+        regions = draw(st.sampled_from(
+            [("tcp", "udp"), ("tcp", "icmp"), ("udp", "icmp"),
+             ("tcp", "udp", "icmp")]))
+        for name in regions:
+            fs = REGION_SLICES[name]
+            share = draw(st.sampled_from([0.3, 0.6, 1.0]))
+            mask[fs.start : fs.stop] = rng.uniform(size=fs.width) < share
+        return mask
+    if kind == "cut":
+        # The fixed IPv4 span mostly off (79 of 160 on cuts every flow)
+        # or exactly half on (80: every packet row stays).
+        mask = rng.uniform(0.0, 1.0, size=NPRINT_BITS)
+        on = draw(st.sampled_from([0, 40, 79, 80]))
+        mask[:160] = 0.0
+        mask[rng.permutation(160)[:on]] = 1.0
+        return mask
+    return None
+
+
 @st.composite
 def finalize_inputs(draw):
-    """Continuous ``(n, P, 1088)`` float32 matrices, timing channels, a
-    structure mask (or None: hard guidance off) and a start time."""
+    """Continuous ``(n, P, 1088)`` float32 or float64 matrices, timing
+    channels, a structure mask (or None: hard guidance off) and a start
+    time."""
     n = draw(st.integers(1, 3))
     p = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -331,10 +374,11 @@ def finalize_inputs(draw):
         for _ in range(n)
     ])
     sigma = draw(st.sampled_from([0.0, 0.2, 0.45]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
     continuous = (ternary + rng.normal(0.0, sigma, size=ternary.shape)
-                  ).astype(np.float32)
+                  ).astype(dtype)
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, p - 1))
-    edge = draw(st.sampled_from([None, "cut", "boundary"]))
+    edge = draw(st.sampled_from([None, "cut", "boundary", "levels"]))
     if edge == "cut":
         # A fixed IPv4 span hovering around half vacant: guidance and
         # repair may cut the flow here, mid-flow.
@@ -344,26 +388,66 @@ def finalize_inputs(draw):
         # packet row only if guidance averages in float64.
         continuous[i, j, :160] = -0.5
         continuous[i, j, 0] = np.nextafter(np.float32(-0.5), np.float32(0))
-    mask = draw(st.sampled_from([None, "tcp", "udp", "icmp", "random"]))
-    if mask == "random":
-        mask = rng.uniform(0.0, 1.0, size=NPRINT_BITS)
-    elif mask is not None:
-        mask = protocol_mask(mask)
+    elif edge == "levels":
+        # Values exactly on the quantiser's thresholds.
+        at = rng.uniform(size=continuous.shape) < 0.3
+        continuous[at] = rng.choice([-0.5, 0.5], size=int(at.sum()))
+    mask = _finalize_mask(draw, rng)
     channels = rng.uniform(-0.2, 2.5, size=(n, p))
     start = draw(st.sampled_from([0.0, 1.5, 1.7e9]))
     return continuous, channels, mask, start
 
 
+_DECODE_COUNTERS = (
+    "nprint.decode.packets", "nprint.decode.fallback_proto",
+    "nprint.decode.proto_rewritten", "nprint.decode.payload_clamped",
+)
+
+
+def _with_decode_counts(fn):
+    """``fn()`` and how much it moved each ``nprint.decode.*`` counter."""
+    before = [perf.counter(name) for name in _DECODE_COUNTERS]
+    result = fn()
+    return result, [perf.counter(name) - b
+                    for name, b in zip(_DECODE_COUNTERS, before)]
+
+
+#: max_examples comes from the Hypothesis profile (tests/conftest.py):
+#: 50 in tier-1, 500 under ``--hypothesis-profile thorough``.
+FINALIZE_SETTINGS = settings(
+    deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
 class TestArrayFinalizeProperties:
-    """The one-pass finalize equals the per-flow, per-row oracle."""
+    """The one-pass finalize equals the per-flow, per-row oracle, and the
+    mask-compiled pass equals the guidance -> quantise -> repair chain."""
 
     @given(finalize_inputs())
-    @DEFAULT_SETTINGS
+    @FINALIZE_SETTINGS
+    def test_fused_repair_matches_chain(self, inputs):
+        continuous, _, mask, _ = inputs
+        if mask is None:
+            mask = protocol_mask("tcp")
+        expected = repair_matrix(quantize_matrix(
+            apply_structure_guidance(continuous, mask)))
+        assert np.array_equal(repair_guided(continuous, mask), expected)
+        assert np.array_equal(repair_guided(continuous[0], mask),
+                              expected[0])
+
+    @given(finalize_inputs())
+    @FINALIZE_SETTINGS
     def test_batch_finalize_matches_oracle(self, inputs):
         continuous, channels, mask, _ = inputs
+        batch, counts = _with_decode_counts(
+            lambda: matrix_to_flow(continuous, channels, label="x",
+                                   mask=mask))
         guided = (continuous if mask is None
                   else apply_structure_guidance(continuous, mask))
-        batch = matrix_to_flow(guided, channels, label="x")
+        chain, chain_counts = _with_decode_counts(
+            lambda: matrix_to_flow(guided, channels, label="x"))
+        assert counts == chain_counts
+        assert counts[0] == sum(batch.counts)
+        assert np.array_equal(batch.matrices, chain.matrices)
         datas, stamps = render_flows(batch)
         assert len(datas) == len(stamps) == sum(batch.counts)
         at = 0
@@ -381,7 +465,7 @@ class TestArrayFinalizeProperties:
             at += len(packets)
 
     @given(finalize_inputs())
-    @DEFAULT_SETTINGS
+    @FINALIZE_SETTINGS
     def test_batch_decode_matches_oracle(self, inputs):
         """Unrepaired rows too: no-vote fallback, contradicting protocol
         fields, stray option bits."""
