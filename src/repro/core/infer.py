@@ -19,17 +19,21 @@ emits a flat plan of raw-``ndarray`` kernels:
 * **Weight packs** — per-layer contiguous weight/bias arrays fed
   straight to ``np.matmul``, the same BLAS product the eager path runs.
 * **Conditioning caches** — for a fixed DDIM schedule, the projected
-  time embedding ``t_hidden`` is computed once per (timestep, rows) and
+  time embedding ``t_hidden`` is computed once per (timestep, rows), and
   the class conditioning ``c_hidden`` / ControlNet injections once per
-  prompt, then reused across every step, chunk and worker batch of a
-  streaming run.
+  (prompt, rows, weight, mask), then reused across every step, chunk and
+  worker batch of a streaming run.  That hoist runs off packs of the
+  prompt encoder's embedding table and the ControlNet's ``Linear``
+  layers, cast to the engine dtype once at compile time — one cast per
+  dtype, no module copies.
 
 Parity is a hard guarantee, not a tolerance: every kernel replicates the
 eager op sequence ufunc-for-ufunc (``sum * (1/n)`` for means,
 ``np.power(v + eps, -0.5)`` for the inverse std, ``x * (1/(1+exp(-x)))``
 for SiLU, NEP-50 Python-float scalars), so float64 compiled output is
 **bitwise identical** to the eager tape and float32 matches the eager
-float32 tape bitwise as well.  ``tests/test_infer.py`` pins both.
+tape run on float32 copies of the modules bitwise as well.
+``tests/test_infer.py`` pins both.
 
 This engine is the only sampler behind
 :meth:`~repro.core.pipeline.TextToTrafficPipeline._eps_model`.  Module
@@ -47,7 +51,9 @@ import sys
 import numpy as np
 
 from repro import perf
+from repro.core.controlnet import ControlNetBranch
 from repro.core.denoiser import ConditionalDenoiser, sinusoidal_time_embedding
+from repro.core.prompt import PromptEncoder, pooling_weights
 from repro.ml.nn.modules import LayerNorm, Linear
 
 __all__ = [
@@ -149,6 +155,64 @@ class _NormPack:
         self.inv_dim = 1.0 / self.gamma.shape[0]
 
 
+class _PromptPack:
+    """The prompt encoder's embedding table at the engine dtype."""
+
+    __slots__ = ("table", "tokenize")
+
+    def __init__(self, encoder: PromptEncoder, dtype: np.dtype):
+        self.table = np.ascontiguousarray(
+            encoder.embedding.table.data, dtype=dtype
+        )
+        self.tokenize = encoder.prompt_table
+
+    def encode(self, prompt: str, rows: int) -> np.ndarray:
+        """``rows`` conditioning rows for ``prompt``.
+
+        The row gather, pooling weights and token sum of
+        :meth:`~repro.core.prompt.PromptEncoder.forward_ids` (and of the
+        compiled trainer) over all ``rows`` rows.
+        """
+        perf.incr("infer.hoist_prompt")
+        ids, mask = self.tokenize([prompt] * rows)
+        weights = pooling_weights(mask)[:, :, None].astype(
+            self.table.dtype, copy=False
+        )
+        return (self.table[ids] * weights).sum(axis=1)
+
+
+class _ControlPack:
+    """The ControlNet branch's ``Linear`` layers at the engine dtype."""
+
+    __slots__ = ("pool_mask", "encoder1", "encoder2", "zero")
+
+    def __init__(self, controlnet: ControlNetBranch, dtype: np.dtype):
+        self.pool_mask = controlnet.pool_mask
+        self.encoder1 = _LinearPack(
+            controlnet.encoder1, dtype, "controlnet.encoder1"
+        )
+        self.encoder2 = _LinearPack(
+            controlnet.encoder2, dtype, "controlnet.encoder2"
+        )
+        self.zero = [
+            _LinearPack(proj, dtype, f"controlnet.zero{i}")
+            for i, proj in enumerate(controlnet.zero_projections)
+        ]
+
+    def injections(self, masks: np.ndarray) -> list[np.ndarray]:
+        """Per-block injections for a ``(rows, 1088)`` mask batch.
+
+        ``[t.data for t in controlnet(masks)]``: the same pooling,
+        products and ufunc order, with no autograd tape.
+        """
+        perf.incr("infer.hoist_controls")
+        h = _dense(self.encoder1, self.pool_mask(masks))
+        h = _silu(h, np.empty_like(h))
+        h = _dense(self.encoder2, h)
+        h = _silu(h, np.empty_like(h))
+        return [_dense(proj, h) for proj in self.zero]
+
+
 # -- fused kernels ---------------------------------------------------------
 #
 # Each kernel replicates the eager Tensor op sequence exactly; in-place
@@ -162,6 +226,12 @@ def _affine(pack: _LinearPack, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     if pack.b is not None:
         out += pack.b
     return out
+
+
+def _dense(pack: _LinearPack, x: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` into a fresh array, for the cached conditioning."""
+    out = np.empty((x.shape[0], pack.w.shape[1]), pack.w.dtype)
+    return _affine(pack, x, out)
 
 
 def _silu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -210,12 +280,19 @@ class CompiledDenoiser:
     """A flat no-tape execution plan for one denoiser at one dtype.
 
     Weight packs alias the live float64 parameters (contiguous float64
-    input makes ``ascontiguousarray`` a no-op), so the engine must be
-    rebuilt when the weights change — the pipeline invalidates its
-    engine cache alongside the cast-module cache on fit / add_class.
+    input makes ``ascontiguousarray`` a no-op) and are cast copies at
+    float32, so the engine must be rebuilt when the weights change — the
+    pipeline drops its engines on fit / add_class.  The optional prompt
+    encoder and ControlNet packs feed :meth:`conditioned_eps`.
     """
 
-    def __init__(self, denoiser: ConditionalDenoiser, dtype=None):
+    def __init__(
+        self,
+        denoiser: ConditionalDenoiser,
+        dtype=None,
+        prompt_encoder: PromptEncoder | None = None,
+        controlnet: ControlNetBranch | None = None,
+    ):
         if not isinstance(denoiser, ConditionalDenoiser):
             raise CompileError(
                 f"expected a ConditionalDenoiser, got "
@@ -245,6 +322,13 @@ class CompiledDenoiser:
         self.output_proj = _LinearPack(
             denoiser.output_proj, dt, "output_proj"
         )
+        self.prompts = (
+            _PromptPack(prompt_encoder, dt)
+            if prompt_encoder is not None else None
+        )
+        self.controls = (
+            _ControlPack(controlnet, dt) if controlnet is not None else None
+        )
 
         self.pool = WorkspacePool()
         #: (timestep, rows) -> projected time embedding, shared by every
@@ -259,20 +343,6 @@ class CompiledDenoiser:
     #: entries are evicted first.  A batch-export run never hits these.
     max_eps_cache = 128
     max_t_cache = 4096
-
-    def trim_caches(self, max_eps: int = 0, max_t: int = 0) -> None:
-        """Shrink the conditioning caches to the given sizes (0 = clear).
-
-        Cheap housekeeping for a serving process between load spikes;
-        entries are rebuilt on demand with identical contents, so
-        trimming never changes outputs.
-        """
-        while len(self.eps_cache) > max(max_eps, 0):
-            self.eps_cache.pop(next(iter(self.eps_cache)))
-            perf.incr("infer.eps_cache_evict")
-        while len(self._t_hidden) > max(max_t, 0):
-            self._t_hidden.pop(next(iter(self._t_hidden)))
-            perf.incr("infer.t_cache_evict")
 
     # -- conditioning caches ----------------------------------------------
 
@@ -293,15 +363,10 @@ class CompiledDenoiser:
         row = sinusoidal_time_embedding(
             np.asarray([key[0]], dtype=np.int64), self.time_dim
         ).astype(self.dtype, copy=False)
-        emb = np.broadcast_to(row, (rows, self.time_dim))
-        h1 = emb @ self.time_proj1.w
-        if self.time_proj1.b is not None:
-            h1 = h1 + self.time_proj1.b
-        sig = 1.0 / (1.0 + np.exp(-h1))
-        h1 = h1 * sig
-        th = h1 @ self.time_proj2.w
-        if self.time_proj2.b is not None:
-            th = th + self.time_proj2.b
+        h1 = _dense(
+            self.time_proj1, np.broadcast_to(row, (rows, self.time_dim))
+        )
+        th = _dense(self.time_proj2, _silu(h1, np.empty_like(h1)))
         self._t_hidden[key] = th
         if len(self._t_hidden) > self.max_t_cache:
             self._t_hidden.pop(next(iter(self._t_hidden)))
@@ -310,10 +375,7 @@ class CompiledDenoiser:
 
     def cond_hidden(self, cond: np.ndarray) -> np.ndarray:
         """Project a conditioning batch once (cached via ``eps_model``)."""
-        ch = cond @ self.cond_proj.w
-        if self.cond_proj.b is not None:
-            ch = ch + self.cond_proj.b
-        return ch
+        return _dense(self.cond_proj, cond)
 
     # -- the plan ----------------------------------------------------------
 
@@ -383,6 +445,51 @@ class CompiledDenoiser:
         del grabbed
 
     # -- sampler-facing closures ------------------------------------------
+
+    def conditioned_eps(
+        self,
+        prompt: str,
+        null_prompt: str,
+        rows: int,
+        mask: np.ndarray | None,
+        guidance_weight: float,
+    ):
+        """The eps closure for ``rows`` rows of ``prompt``, hoisted once.
+
+        Encodes ``prompt`` (and ``null_prompt`` when guidance is on) and
+        the ControlNet injections of ``mask`` off the compile-time packs,
+        then hands them to :meth:`eps_model`.  Every product runs over
+        all ``rows`` rows: one row broadcast would round differently
+        from the same row inside a GEMM.  The closure is cached under
+        ``(prompt, rows, weight, mask bytes)``, so a class whose mask is
+        replaced never samples with the old mask's injections.
+        """
+        if mask is not None:
+            mask = np.asarray(mask, dtype=np.float64)
+        weight = float(guidance_weight)
+        key = (
+            prompt, int(rows), weight,
+            None if mask is None else mask.tobytes(),
+        )
+        cached = self.eps_cache.get(key)
+        if cached is not None:
+            perf.incr("infer.eps_cache_hit")
+            return cached
+        with perf.timer("infer.hoist"):
+            cond = self.prompts.encode(prompt, rows)
+            null = (
+                self.prompts.encode(null_prompt, rows) if weight > 0
+                else None
+            )
+            controls = None
+            if mask is not None and self.controls is not None:
+                # A writable (rows, 1088) batch, not a zero-stride view.
+                masks = np.ascontiguousarray(
+                    np.broadcast_to(mask, (rows, mask.shape[0])),
+                    dtype=self.dtype,
+                )
+                controls = self.controls.injections(masks)
+        return self.eps_model(cond, null, weight, controls=controls, key=key)
 
     def eps_model(
         self,
@@ -483,15 +590,22 @@ def compile_denoiser(
     denoiser: ConditionalDenoiser,
     batch: int | None = None,
     dtype=None,
+    prompt_encoder: PromptEncoder | None = None,
+    controlnet: ControlNetBranch | None = None,
 ) -> CompiledDenoiser:
     """Compile ``denoiser`` into a :class:`CompiledDenoiser` plan.
 
     ``batch`` pre-warms the workspace pool for that row count so even
-    the first step of a run allocates nothing large.  Raises
+    the first step of a run allocates nothing large.  ``prompt_encoder``
+    and ``controlnet`` are packed at ``dtype`` alongside the denoiser
+    for :meth:`CompiledDenoiser.conditioned_eps`.  Raises
     :class:`CompileError` for module trees the plan cannot express
     (LoRA-wrapped layers, subclassed forwards, non-float dtypes).
     """
-    engine = CompiledDenoiser(denoiser, dtype=dtype)
+    engine = CompiledDenoiser(
+        denoiser, dtype=dtype,
+        prompt_encoder=prompt_encoder, controlnet=controlnet,
+    )
     if batch is not None:
         engine.prewarm(batch)
     return engine

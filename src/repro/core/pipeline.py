@@ -262,9 +262,6 @@ class TextToTrafficPipeline:
         self.class_heights: dict[str, float] = {}
         self.training_history: list[float] = []
         self.controlnet_history: list[float] = []
-        # dtype str -> (prompt_encoder, denoiser, controlnet) inference
-        # clones; see _inference_modules.
-        self._cast_cache: dict[str, tuple] = {}
         # dtype str -> CompiledDenoiser (or None when the module tree is
         # not compilable, e.g. live LoRA adapters); see _infer_engine.
         self._infer_engines: dict[str, object] = {}
@@ -316,7 +313,7 @@ class TextToTrafficPipeline:
         """
         if not flows:
             raise ValueError("cannot fit on an empty flow list")
-        self._invalidate_cast_cache()
+        self._invalidate_engines()
         labels = [f.label for f in flows]
         if any(not l for l in labels):
             raise ValueError("every training flow needs a label")
@@ -627,51 +624,20 @@ class TextToTrafficPipeline:
         if self.denoiser is None or self.codebook is None:
             raise RuntimeError("pipeline is not fitted")
 
-    def _invalidate_cast_cache(self) -> None:
-        cache = getattr(self, "_cast_cache", None)
-        if cache:
-            cache.clear()
+    def _invalidate_engines(self) -> None:
         engines = getattr(self, "_infer_engines", None)
         if engines:
             engines.clear()
 
-    def _inference_modules(self, dtype):
-        """(prompt_encoder, denoiser, controlnet) at inference precision.
-
-        ``dtype=None`` (or float64) returns the live training modules —
-        the unchanged default path.  Other dtypes return cached
-        :func:`~repro.ml.nn.modules.cast_module` clones, built once per
-        dtype and invalidated whenever the weights change (fit /
-        add_class).
-        """
-        if dtype is None or np.dtype(dtype) == np.float64:
-            return self.prompt_encoder, self.denoiser, self.controlnet
-        cache = getattr(self, "_cast_cache", None)
-        if cache is None:
-            cache = self._cast_cache = {}
-        key = np.dtype(dtype).str
-        clones = cache.get(key)
-        if clones is None:
-            from repro.ml.nn import cast_module
-
-            with perf.timer("pipeline.cast_modules"):
-                clones = (
-                    cast_module(self.prompt_encoder, dtype),
-                    cast_module(self.denoiser, dtype),
-                    cast_module(self.controlnet, dtype)
-                    if self.controlnet is not None else None,
-                )
-            cache[key] = clones
-        return clones
-
     def _infer_engine(self, dtype):
         """The cached :class:`~repro.core.infer.CompiledDenoiser`.
 
-        Built once per dtype from the inference modules and invalidated
-        alongside the cast cache whenever the weights change (fit /
-        add_class).  A denoiser carrying LoRA adapters (after
-        :meth:`add_class`) is compiled from a merged copy; the live tree
-        keeps its adapters so fine-tuning can continue.
+        Built once per dtype — the denoiser, prompt encoder and
+        ControlNet weights cast to ``dtype`` once, at compile time — and
+        dropped whenever the weights change (fit / add_class).  A
+        denoiser carrying LoRA adapters (after :meth:`add_class`) is
+        compiled from a merged copy; the live tree keeps its adapters so
+        fine-tuning can continue.
         """
         engines = getattr(self, "_infer_engines", None)
         if engines is None:
@@ -679,7 +645,7 @@ class TextToTrafficPipeline:
         key = np.dtype(dtype or np.float64).str
         engine = engines.get(key)
         if engine is None:
-            _, denoiser, _ = self._inference_modules(dtype)
+            denoiser = self.denoiser
             with perf.timer("pipeline.compile_denoiser"):
                 if lora_parameters(denoiser):
                     denoiser = copy.deepcopy(denoiser)
@@ -688,6 +654,8 @@ class TextToTrafficPipeline:
                     denoiser,
                     batch=self.config.generation_batch,
                     dtype=dtype,
+                    prompt_encoder=self.prompt_encoder,
+                    controlnet=self.controlnet,
                 )
         return engine
 
@@ -702,44 +670,21 @@ class TextToTrafficPipeline:
         """Closure evaluating (classifier-free-guided) noise prediction.
 
         Prompts and the control mask are loop-invariant across DDIM
-        steps, so their encodings are hoisted out of the closure.  With
-        guidance on, the conditional and unconditional passes are fused
-        into a single ``2n``-row forward of the compiled plan
-        (:mod:`repro.core.infer`); the null half receives zero control
-        injections, reproducing ``controls=None``.
+        steps, so the engine hoists their encodings out of the closure
+        (:meth:`~repro.core.infer.CompiledDenoiser.conditioned_eps`).
+        With guidance on, the conditional and unconditional passes are
+        fused into a single ``2n``-row forward of the compiled plan; the
+        null half receives zero control injections, reproducing
+        ``controls=None``.
 
         Closures are cached on the engine per (prompt, rows, weight,
-        masked) — the projected class conditioning, ControlNet
+        mask bytes) — the projected class conditioning, ControlNet
         injections and per-step time embeddings survive across batches,
         chunks and the lifetime of a sharded worker process, so a
         streaming run pays the conditioning hoist exactly once.
         """
-        engine = self._infer_engine(dtype)
-        key = (prompt, int(n), float(guidance_weight), mask is not None)
-        cached = engine.eps_cache.get(key)
-        if cached is not None:
-            perf.incr("infer.eps_cache_hit")
-            return cached
-        prompt_encoder, _, controlnet = self._inference_modules(dtype)
-        with perf.timer("pipeline.hoist_conditioning"):
-            cond_full = prompt_encoder([prompt] * n).data
-            null_full = (
-                prompt_encoder([NULL_PROMPT] * n).data
-                if guidance_weight > 0 else None
-            )
-            controls_full = None
-            if mask is not None and controlnet is not None:
-                # broadcast_to yields a read-only zero-stride view;
-                # materialize it so the batch is a normal writable array.
-                mask_batch = np.ascontiguousarray(
-                    np.broadcast_to(mask, (n, mask.shape[0]))
-                )
-                if dtype is not None:
-                    mask_batch = mask_batch.astype(dtype, copy=False)
-                controls_full = controlnet.forward_data(mask_batch)
-        return engine.eps_model(
-            cond_full, null_full, guidance_weight,
-            controls=controls_full, key=key,
+        return self._infer_engine(dtype).conditioned_eps(
+            prompt, NULL_PROMPT, n, mask, guidance_weight
         )
 
     def sample_latents(
@@ -755,7 +700,8 @@ class TextToTrafficPipeline:
         """Sample ``n`` latent vectors for ``class_name`` via DDIM.
 
         ``dtype=np.float32`` runs the whole denoiser stack in single
-        precision (the fast inference tier); ``None`` keeps the float64
+        precision (the fast inference tier) on an engine whose weights
+        were cast once, at compile time; ``None`` keeps the float64
         default bit-for-bit.  The RNG stream is dtype-independent.  A
         sampler batch with non-finite latents raises
         :class:`NonFiniteLatentsError`.
@@ -941,7 +887,9 @@ class TextToTrafficPipeline:
         (``shard_dir``, defaulting to ``REPRO_CACHE_DIR`` or a run-scoped
         temp dir), persist chunk results as on-disk artifacts, and return
         `repro.perf` snapshots that are merged into this process, so
-        counters match a single-process run.  Chunks are yielded strictly
+        counters match a single-process run.  The archive holds float64
+        weights; at ``dtype=np.float32`` each worker casts them once, when
+        it compiles its engine.  Chunks are yielded strictly
         in index order.  ``seed`` defaults to ``config.seed``; passing an
         explicit ``rng`` is an error in sharded mode (a shared generator
         cannot be split deterministically across processes).
@@ -1213,7 +1161,7 @@ class TextToTrafficPipeline:
         self._require_fitted()
         if not flows:
             raise ValueError("need flows for the new class")
-        self._invalidate_cast_cache()
+        self._invalidate_engines()
         cfg = self.config
         prompt = self.codebook.add_class(class_name)
         for token in prompt.split():

@@ -86,47 +86,9 @@ def _pipeline_arrays(pipeline: TextToTrafficPipeline) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _fp32_pack_arrays(
-    pipeline: TextToTrafficPipeline,
-) -> dict[str, np.ndarray]:
-    """Pre-cast float32 inference weights (``pack32.*`` archive keys).
-
-    The packed arrays are exactly ``cast_module``'s parameter values, so
-    a loader can seed the pipeline's float32 inference clones straight
-    from the archive — sharded workers start sampling at the fast tier
-    without re-deriving the cast from float64.  Packs are excluded from
-    :func:`_pipeline_arrays` on purpose: they are derived data, and the
-    content digest (archive address) must not change when they ride
-    along.
-    """
-    packs: dict[str, np.ndarray] = {}
-    modules = [
-        ("denoiser", pipeline.denoiser),
-        ("prompt", pipeline.prompt_encoder),
-    ]
-    if pipeline.controlnet is not None:
-        modules.append(("controlnet", pipeline.controlnet))
-    for prefix, module in modules:
-        for name, value in module.state_dict().items():
-            packs[f"pack32.{prefix}.{name}"] = value.astype(np.float32)
-    return packs
-
-
-def save_pipeline(
-    pipeline: TextToTrafficPipeline,
-    path: str | Path,
-    fp32_pack: bool = False,
-) -> None:
-    """Serialise a fitted pipeline to ``path`` (npz, compressed).
-
-    ``fp32_pack=True`` additionally stores the float32 inference weight
-    packs, making the archive self-contained for the fast sampling tier
-    (see :func:`_fp32_pack_arrays`).
-    """
-    arrays = _pipeline_arrays(pipeline)
-    if fp32_pack:
-        arrays.update(_fp32_pack_arrays(pipeline))
-    np.savez_compressed(path, **arrays)
+def save_pipeline(pipeline: TextToTrafficPipeline, path: str | Path) -> None:
+    """Serialise a fitted pipeline to ``path`` (npz, compressed)."""
+    np.savez_compressed(path, **_pipeline_arrays(pipeline))
 
 
 def pipeline_state_digest(pipeline: TextToTrafficPipeline) -> str:
@@ -200,10 +162,7 @@ def ensure_pipeline_archive(
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".npz.tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            # Shard workers serve the float32 inference tier; pack the
-            # cast weights so each worker loads them instead of
-            # re-deriving the clones (packs don't affect the digest).
-            save_pipeline(pipeline, f, fp32_pack=True)
+            save_pipeline(pipeline, f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -213,7 +172,12 @@ def ensure_pipeline_archive(
 
 
 def load_pipeline(path: str | Path) -> TextToTrafficPipeline:
-    """Rebuild a pipeline saved by :func:`save_pipeline`."""
+    """Rebuild a pipeline saved by :func:`save_pipeline`.
+
+    Keys the format does not name are ignored, so an archive that also
+    carries derived arrays (older shard archives hold float32 copies of
+    the weights) loads as the plain archive would.
+    """
     with np.load(path) as archive:
         arrays = {key: archive[key] for key in archive.files}
     meta = json.loads(bytes(arrays.pop("meta_json")).decode())
@@ -265,23 +229,6 @@ def load_pipeline(path: str | Path) -> TextToTrafficPipeline:
         k: float(v) for k, v in meta["class_heights"].items()
     }
 
-    # Seed the float32 inference clones from packed weights, when the
-    # archive carries them (bitwise-identical to casting on demand).
-    if any(key.startswith("pack32.") for key in arrays):
-        from repro.ml.nn import cast_module
-
-        clones = (
-            cast_module(pipeline.prompt_encoder, np.float32),
-            cast_module(pipeline.denoiser, np.float32),
-            cast_module(pipeline.controlnet, np.float32)
-            if pipeline.controlnet is not None else None,
-        )
-        for prefix, clone in zip(("prompt", "denoiser", "controlnet"),
-                                 clones):
-            if clone is not None:
-                _load_module(f"pack32.{prefix}", clone, arrays)
-        pipeline._cast_cache[np.dtype(np.float32).str] = clones
-        perf.incr("pipeline.load_fp32_pack")
     return pipeline
 
 

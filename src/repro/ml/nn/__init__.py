@@ -19,7 +19,6 @@ from repro.ml.nn.modules import (
     SiLU,
     Tanh,
     ZeroLinear,
-    cast_module,
     mlp,
 )
 from repro.ml.nn.ema import ExponentialMovingAverage
@@ -40,7 +39,6 @@ __all__ = [
     "ReLU",
     "LeakyReLU",
     "Tanh",
-    "cast_module",
     "mlp",
     "Optimizer",
     "SGD",

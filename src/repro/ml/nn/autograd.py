@@ -43,9 +43,10 @@ class Tensor:
     by the operators below.
 
     Arrays are stored as float64 except float32 input, which is kept as-is:
-    the float32 inference tier (:func:`repro.ml.nn.modules.cast_module`)
-    runs whole forward passes in single precision, while training and any
-    integer/float64 input keep the original float64 behaviour bit-for-bit.
+    a module whose parameters are float32 runs whole forward passes in
+    single precision (the tape reference for the compiled float32 tier),
+    while training and any integer/float64 input keep the original
+    float64 behaviour bit-for-bit.
     """
 
     __slots__ = (

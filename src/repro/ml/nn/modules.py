@@ -8,8 +8,6 @@ updates ``param.data`` in place.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from repro.ml.nn.autograd import Tensor, embedding_lookup
@@ -201,23 +199,6 @@ class LeakyReLU(Module):
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
-
-
-def cast_module(module: Module, dtype) -> Module:
-    """An inference-only deep copy of ``module`` with parameters in ``dtype``.
-
-    The clone's parameters are detached (``requires_grad=False``, gradients
-    dropped), so forwards through it build no autograd tape — the float32
-    inference tier casts once and reuses the clone across sampler batches.
-    The original module is untouched; training stays float64.
-    """
-    clone = copy.deepcopy(module)
-    for _, param in clone.named_parameters():
-        param.data = param.data.astype(dtype, copy=False)
-        param.requires_grad = False
-        param.grad = None
-        param._grad_buf = None  # drop the deep-copied float64 grad buffer
-    return clone
 
 
 def mlp(sizes: list[int], activation=SiLU, final_activation=None,

@@ -5,7 +5,8 @@ are the only engines the pipeline runs.  These helpers rebuild the
 reference they must match straight from the modules' autograd forwards:
 
 * :func:`eager_eps_model` — the fused classifier-free-guided eps closure
-  over :meth:`ConditionalDenoiser.forward` on ``Tensor`` inputs;
+  over :meth:`ConditionalDenoiser.forward` on ``Tensor`` inputs (at
+  float32, over float32 copies of the modules: :func:`modules_at`);
 * :func:`eager_sample_latents` — that closure driven through
   :class:`~repro.core.ddim.DDIMSampler` with the pipeline's batch split,
   the oracle for :meth:`TextToTrafficPipeline.sample_latents`;
@@ -15,6 +16,7 @@ reference they must match straight from the modules' autograd forwards:
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 
 import numpy as np
@@ -24,9 +26,32 @@ from repro.core.pipeline import NULL_PROMPT, TextToTrafficPipeline
 from repro.ml.nn import Tensor
 
 
-def eager_eps_model(pipeline, prompt, n, mask, guidance_weight, dtype=None):
+def modules_at(pipeline, dtype=None):
+    """(prompt_encoder, denoiser, controlnet) with parameters in ``dtype``.
+
+    float64 (or ``None``) returns the live modules; any other dtype
+    deep-copies each one and casts every parameter with ``astype`` — a
+    reference cast made independently of the engine's weight packs.
+    """
+    modules = (pipeline.prompt_encoder, pipeline.denoiser,
+               pipeline.controlnet)
+    if dtype is None or np.dtype(dtype) == np.float64:
+        return modules
+    copies = []
+    for module in modules:
+        if module is not None:
+            module = copy.deepcopy(module)
+            for _, param in module.named_parameters():
+                param.data = param.data.astype(dtype)
+        copies.append(module)
+    return tuple(copies)
+
+
+def eager_eps_model(pipeline, prompt, n, mask, guidance_weight, dtype=None,
+                    modules=None):
     """Hoisted-conditioning eps closure evaluated on the autograd tape."""
-    prompt_encoder, denoiser, controlnet = pipeline._inference_modules(dtype)
+    prompt_encoder, denoiser, controlnet = (
+        modules or modules_at(pipeline, dtype))
     cond_full = prompt_encoder([prompt] * n).data
     null_full = (
         prompt_encoder([NULL_PROMPT] * n).data if guidance_weight > 0
@@ -75,11 +100,13 @@ def eager_sample_latents(pipeline, class_name, n, steps=None,
     prompt = pipeline.codebook.prompt_for(class_name)
     mask = pipeline.class_masks.get(class_name) if use_control else None
     sampler = DDIMSampler(pipeline.diffusion)
+    modules = modules_at(pipeline, dtype)
     out = []
     remaining = n
     while remaining > 0:
         batch = min(remaining, cfg.generation_batch)
-        eps = eager_eps_model(pipeline, prompt, batch, mask, weight, dtype)
+        eps = eager_eps_model(pipeline, prompt, batch, mask, weight, dtype,
+                              modules)
         out.append(sampler.sample(
             eps, (batch, pipeline.codec.latent_dim), rng,
             steps=steps, dtype=dtype))

@@ -100,13 +100,13 @@ class TestGoldenParity:
 
 
 def _hoists() -> int:
-    stat = perf.get_registry().timers.get("pipeline.hoist_conditioning")
+    stat = perf.get_registry().timers.get("infer.hoist")
     return stat.calls if stat is not None else 0
 
 
 class TestForwardCountRegression:
     def _counters_for(self, fitted, **kwargs):
-        fitted._invalidate_cast_cache()  # fresh engine, no cached closures
+        fitted._invalidate_engines()  # fresh engine, no cached closures
         registry = perf.get_registry()
         before = dict(registry.counters)
         hoists0 = _hoists()
@@ -116,8 +116,8 @@ class TestForwardCountRegression:
             for name in (
                 "infer.forward",
                 "denoiser.forward",
-                "prompt_encoder.forward",
-                "controlnet.forward_data",
+                "infer.hoist_prompt",
+                "infer.hoist_controls",
                 "pipeline.sample_batches",
             )
         }
@@ -138,8 +138,8 @@ class TestForwardCountRegression:
         # Conditioning is hoisted once per (prompt, rows): cond + null
         # prompt encodes and one ControlNet encode, zero inside the loop.
         assert delta["hoists"] == 1
-        assert delta["prompt_encoder.forward"] == 2
-        assert delta["controlnet.forward_data"] == 1
+        assert delta["infer.hoist_prompt"] == 2
+        assert delta["infer.hoist_controls"] == 1
 
     def test_counts_scale_with_batches(self, fitted):
         steps = 6
@@ -157,8 +157,8 @@ class TestForwardCountRegression:
         # Batches of 3, 3 and 1 rows: the second 3-row batch reuses the
         # first one's closure, so two hoists.
         assert delta["hoists"] == 2
-        assert delta["prompt_encoder.forward"] == 4
-        assert delta["controlnet.forward_data"] == 2
+        assert delta["infer.hoist_prompt"] == 4
+        assert delta["infer.hoist_controls"] == 2
 
     def test_unguided_sampling_also_one_forward_per_step(self, fitted):
         steps = 7
@@ -168,7 +168,7 @@ class TestForwardCountRegression:
         )
         assert delta["infer.forward"] == steps
         # No null branch without guidance: a single prompt encode.
-        assert delta["prompt_encoder.forward"] == 1
+        assert delta["infer.hoist_prompt"] == 1
 
 
 class TestPromptTokenCache:
@@ -210,7 +210,7 @@ class TestMaterializedMaskBatch:
             captured.append(np.asarray(mask))
             return original(mask)
 
-        fitted._invalidate_cast_cache()  # force a fresh conditioning hoist
+        fitted._invalidate_engines()  # force a fresh conditioning hoist
         fitted.controlnet.pool_mask = capture
         try:
             fitted.sample_latents(

@@ -177,12 +177,12 @@ class TestConditioningCache:
         delta = {
             name: registry.count(name) - before.get(name, 0)
             for name in (
-                "prompt_encoder.forward", "controlnet.forward_data",
+                "infer.hoist_prompt", "infer.hoist_controls",
                 "infer.eps_cache_hit", "infer.t_cache_miss",
             )
         }
-        assert delta["prompt_encoder.forward"] == 0
-        assert delta["controlnet.forward_data"] == 0
+        assert delta["infer.hoist_prompt"] == 0
+        assert delta["infer.hoist_controls"] == 0
         assert delta["infer.eps_cache_hit"] == 3
         assert delta["infer.t_cache_miss"] == 0
 
@@ -196,6 +196,20 @@ class TestConditioningCache:
         other = engine.t_hidden(5, 7)
         assert other is not first
         assert other.shape == (7, fitted.denoiser.hidden)
+
+    def test_eps_cache_bounded(self, fitted):
+        """More distinct keys than ``max_eps_cache`` evict the oldest."""
+        engine = compile_denoiser(fitted.denoiser)
+        cond = np.zeros((2, fitted.denoiser.cond_proj.in_features))
+        limit = engine.max_eps_cache
+        evict0 = perf.counter("infer.eps_cache_evict")
+        for i in range(limit + 5):
+            engine.eps_model(cond, None, 0.0, key=("prompt", i))
+        assert len(engine.eps_cache) == limit
+        assert ("prompt", 4) not in engine.eps_cache
+        assert ("prompt", 5) in engine.eps_cache
+        assert ("prompt", limit + 4) in engine.eps_cache
+        assert perf.counter("infer.eps_cache_evict") - evict0 == 5
 
 
 class TestFallback:
@@ -265,11 +279,11 @@ class TestFallback:
 class TestModeSelection:
     """The one engine's per-dtype cache follows the weights."""
 
-    def test_engine_cache_invalidated_with_cast_cache(self, fitted):
+    def test_engine_cache_invalidated(self, fitted):
         fitted.sample_latents(
             "netflix", 3, steps=2, rng=np.random.default_rng(0))
         assert fitted._infer_engines
-        fitted._invalidate_cast_cache()
+        fitted._invalidate_engines()
         assert not fitted._infer_engines
 
 
@@ -279,46 +293,55 @@ def _walk(module):
         yield from _walk(child)
 
 
+def _legacy_archive(pipeline, tmp_path):
+    """A plain archive and a copy that also carries float32 ``pack32.*``
+    weight keys, as shard archives were once written."""
+    from repro.core.serialization import save_pipeline
+
+    plain = tmp_path / "plain.npz"
+    legacy = tmp_path / "legacy.npz"
+    save_pipeline(pipeline, plain)
+    with np.load(plain) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    modules = [("denoiser", pipeline.denoiser),
+               ("prompt", pipeline.prompt_encoder),
+               ("controlnet", pipeline.controlnet)]
+    for prefix, module in modules:
+        for name, value in module.state_dict().items():
+            arrays[f"pack32.{prefix}.{name}"] = value.astype(np.float32)
+    np.savez(legacy, **arrays)
+    return plain, legacy
+
+
 class TestFp32PackRoundtrip:
-    def test_pack_seeds_cast_cache_and_matches(self, fitted, tmp_path):
-        from repro.core.serialization import load_pipeline, save_pipeline
+    """Archives carrying ``pack32.*`` keys stay valid: they load, sample
+    and digest exactly as the plain archive does."""
 
-        plain = tmp_path / "plain.npz"
-        packed = tmp_path / "packed.npz"
-        save_pipeline(fitted, plain)
-        save_pipeline(fitted, packed, fp32_pack=True)
+    def test_legacy_pack_archive_samples_like_plain(self, fitted, tmp_path):
+        from repro.core.serialization import load_pipeline
 
-        loaded_plain = load_pipeline(plain)
-        loads0 = perf.counter("pipeline.load_fp32_pack")
-        loaded_packed = load_pipeline(packed)
-        assert perf.counter("pipeline.load_fp32_pack") - loads0 == 1
-        key = np.dtype(np.float32).str
-        assert key in loaded_packed._cast_cache
-        assert key not in loaded_plain._cast_cache
-
-        a = loaded_plain.sample_latents(
-            "netflix", 4, steps=5, rng=np.random.default_rng(2),
-            dtype=np.float32)
-        b = loaded_packed.sample_latents(
-            "netflix", 4, steps=5, rng=np.random.default_rng(2),
-            dtype=np.float32)
-        assert np.array_equal(a, b)
+        plain, legacy = _legacy_archive(fitted, tmp_path)
+        with np.load(legacy) as archive:
+            assert any(k.startswith("pack32.") for k in archive.files)
+        for dtype in (np.float32, None):
+            a = load_pipeline(plain).sample_latents(
+                "netflix", 4, steps=5, rng=np.random.default_rng(2),
+                dtype=dtype)
+            b = load_pipeline(legacy).sample_latents(
+                "netflix", 4, steps=5, rng=np.random.default_rng(2),
+                dtype=dtype)
+            assert np.array_equal(a, b)
 
     def test_digest_unchanged_by_pack(self, fitted, tmp_path):
-        from repro.core.serialization import load_pipeline, save_pipeline
-
-        plain = tmp_path / "plain.npz"
-        packed = tmp_path / "packed.npz"
-        save_pipeline(fitted, plain)
-        save_pipeline(fitted, packed, fp32_pack=True)
-        a = load_pipeline(plain)
-        b = load_pipeline(packed)
-        assert np.array_equal(
-            a.sample_latents("netflix", 3, steps=4,
-                             rng=np.random.default_rng(5)),
-            b.sample_latents("netflix", 3, steps=4,
-                             rng=np.random.default_rng(5)),
+        from repro.core.serialization import (
+            load_pipeline,
+            pipeline_state_digest,
         )
+
+        plain, legacy = _legacy_archive(fitted, tmp_path)
+        digest = pipeline_state_digest(fitted)
+        assert pipeline_state_digest(load_pipeline(plain)) == digest
+        assert pipeline_state_digest(load_pipeline(legacy)) == digest
 
 
 class TestPredictX0FastPath:

@@ -15,7 +15,6 @@ from repro.ml.nn import (
     Tensor,
     ZeroLinear,
     bce_with_logits,
-    cast_module,
     mlp,
     mse_loss,
     softmax_cross_entropy,
@@ -47,17 +46,6 @@ class TestLinear:
         layer = ZeroLinear(4, 4, rng=rng)
         out = layer(Tensor(rng.normal(size=(3, 4))))
         assert (out.data == 0).all()
-
-
-class TestCastModule:
-    def test_linear_fused_path_matches_tape_path(self):
-        rng = np.random.default_rng(8)
-        layer = Linear(24, 12, rng=rng)
-        x = rng.standard_normal((200, 24))
-        tape_out = layer.forward(Tensor(x)).data.copy()
-        frozen = cast_module(layer, np.float64)  # requires_grad=False clones
-        fused_out = frozen.forward(Tensor(x)).data
-        assert np.array_equal(fused_out, tape_out)
 
 
 class TestEmbedding:

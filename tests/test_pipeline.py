@@ -150,23 +150,39 @@ def _guided_chain(result, mask) -> np.ndarray:
 
 
 class TestMaskCompiledFinalize:
-    """Hard-guided output follows the class's current mask: the column
-    plan is never one compiled from a mask the class no longer has."""
+    """Generation follows the class's current mask: neither the column
+    plan nor the sampler's ControlNet conditioning is ever one built from
+    a mask the class no longer has."""
 
     def test_replaced_mask_is_followed(self, fitted):
         old = fitted.class_masks["netflix"]
         new = fitted.class_masks["teams"]
+        dtypes = (None, np.float32)
+
+        def latents(dtype):
+            return fitted.sample_latents(
+                "netflix", 3, rng=np.random.default_rng(0), dtype=dtype)
+
         first = fitted.generate_raw("netflix", 3,
                                     rng=np.random.default_rng(0))
         assert np.array_equal(first.matrices, _guided_chain(first, old))
+        before = {dtype: latents(dtype) for dtype in dtypes}
         fitted.class_masks["netflix"] = new
         try:
             again = fitted.generate_raw("netflix", 3,
                                         rng=np.random.default_rng(0))
+            swapped = {dtype: latents(dtype) for dtype in dtypes}
+            fitted._invalidate_engines()
+            fresh = {dtype: latents(dtype) for dtype in dtypes}
         finally:
             fitted.class_masks["netflix"] = old
         assert np.array_equal(again.matrices, _guided_chain(again, new))
         assert not np.array_equal(again.matrices, _guided_chain(again, old))
+        for dtype in dtypes:
+            # The swapped-in mask conditions the sampler exactly as it
+            # does on a freshly compiled engine.
+            assert np.array_equal(swapped[dtype], fresh[dtype]), dtype
+            assert not np.array_equal(fresh[dtype], before[dtype]), dtype
 
     def test_loaded_archive_mask_is_followed(self, fitted, tmp_path):
         old = fitted.class_masks["netflix"]

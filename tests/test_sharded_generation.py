@@ -58,24 +58,32 @@ _INVARIANT_COUNTERS = (
 
 class TestShardedGeneration:
     def test_worker_count_invariance(self, fitted):
-        """workers=1 and workers=2: byte-identical pcap, equal counters."""
-        perf.reset()
-        one = _stream_pcap_bytes(
-            fitted, 40, 16, workers=1, seed=123, yield_arrays=False
-        )
-        counters_one = {
-            name: perf.counter(name) for name in _INVARIANT_COUNTERS
-        }
-        perf.reset()
-        two = _stream_pcap_bytes(
-            fitted, 40, 16, workers=2, seed=123, yield_arrays=False
-        )
-        counters_two = {
-            name: perf.counter(name) for name in _INVARIANT_COUNTERS
-        }
-        assert one == two
-        assert counters_one == counters_two
-        assert counters_one["pipeline.shard_chunks"] == 3  # 16 + 16 + 8
+        """workers=1 and workers=2: byte-identical pcap, equal counters.
+
+        workers=1 samples in-process from the live weights, workers=2
+        from the archive each worker loads; at float32 each side casts
+        its own copy of the weights.
+        """
+        for dtype in (None, np.float32):
+            perf.reset()
+            one = _stream_pcap_bytes(
+                fitted, 40, 16, workers=1, seed=123, yield_arrays=False,
+                dtype=dtype,
+            )
+            counters_one = {
+                name: perf.counter(name) for name in _INVARIANT_COUNTERS
+            }
+            perf.reset()
+            two = _stream_pcap_bytes(
+                fitted, 40, 16, workers=2, seed=123, yield_arrays=False,
+                dtype=dtype,
+            )
+            counters_two = {
+                name: perf.counter(name) for name in _INVARIANT_COUNTERS
+            }
+            assert one == two, dtype
+            assert counters_one == counters_two, dtype
+            assert counters_one["pipeline.shard_chunks"] == 3  # 16+16+8
 
     def test_deterministic_rerun(self, fitted):
         first = _stream_pcap_bytes(

@@ -242,7 +242,7 @@ class TestFloat32Tier:
         assert len(flows) == 6
         assert all(f.label == "teams" and len(f) >= 1 for f in flows)
 
-    def test_default_path_untouched_by_cast_cache(self, fitted):
+    def test_default_path_untouched_by_fp32_engine(self, fitted):
         a = fitted.sample_latents(
             "netflix", 4, rng=np.random.default_rng(3)
         )
