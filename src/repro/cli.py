@@ -106,8 +106,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro import perf
     from repro.core.serialization import load_pipeline
-    from repro.net.packet import PacketRenderer, render_flows
-    from repro.net.pcap import PcapWriter, write_pcap
+    from repro.net.packet import render_flows
+    from repro.net.pcap import PcapWriter
 
     if args.perf:
         perf.reset()
@@ -127,7 +127,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         # timestamp — downstream tools that need a globally ordered
         # capture should re-sort, e.g. ``reordercap``.
         chunk = args.chunk if args.chunk > 0 else None
-        renderer = PacketRenderer()
         flow_count = 0
         packet_count = 0
         # --workers switches to deterministic sharded mode: per-chunk
@@ -143,21 +142,23 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 state_repair=args.state_repair, dtype=dtype,
                 **stream_kwargs,
             ):
-                datas, stamps = render_flows(result.flows, renderer)
+                datas, stamps = render_flows(result.flows)
                 packet_count += writer.write_many(datas, stamps)
                 flow_count += len(result.flows)
         print(f"generated {flow_count} {args.class_name} flows "
               f"({packet_count} packets, streamed) -> {args.out}")
     else:
-        flows = pipeline.generate(
+        flows = pipeline.generate_raw(
             args.class_name, args.count,
             state_repair=args.state_repair,
             rng=rng,
             dtype=dtype,
-        )
-        packets = sorted((p for f in flows for p in f.packets),
-                         key=lambda p: p.timestamp)
-        n = write_pcap(args.out, packets)
+        ).flows
+        # One capture ordered by timestamp; ties keep flow-major order.
+        datas, stamps = render_flows(flows)
+        order = np.argsort(stamps, kind="stable")
+        with PcapWriter(open(args.out, "wb")) as writer:
+            n = writer.write_many([datas[i] for i in order], stamps[order])
         print(f"generated {len(flows)} {args.class_name} flows "
               f"({n} packets) -> {args.out}")
     if args.perf:

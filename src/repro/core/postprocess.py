@@ -29,7 +29,8 @@ import numpy as np
 
 from repro.core.controlnet import apply_structure_guidance, packet_rows
 from repro.imaging.colormap import continuous_to_ternary
-from repro.nprint.decoder import DecodedFlow, FlowBatch, decode_flow
+from repro.net.flow import Flow
+from repro.nprint.decoder import FlowBatch, decode_flow
 from repro.nprint.fields import (
     FIELDS,
     NPRINT_BITS,
@@ -207,10 +208,10 @@ def matrix_to_flow(
     *,
     mask: np.ndarray | None = None,
     gaps: np.ndarray | None = None,
-) -> DecodedFlow | FlowBatch:
+) -> Flow | FlowBatch:
     """Full back-transform: continuous matrix (+ timing channel) -> flow.
 
-    One ``(P, 1088)`` matrix gives a :class:`DecodedFlow`; a batch of
+    One ``(P, 1088)`` matrix gives a :class:`Flow`; a batch of
     ``(n, P, 1088)`` matrices with ``(n, P)`` channels gives a
     :class:`FlowBatch`, each step one array pass over the whole batch.
     ``mask`` applies hard structure guidance first, fused with

@@ -171,15 +171,22 @@ def ensure_pipeline_archive(
     return path
 
 
+#: archive key prefixes :func:`load_pipeline` reads, besides ``meta_json``
+_ARCHIVE_PREFIXES = ("codec.", "denoiser.", "prompt.", "controlnet.", "mask.")
+
+
 def load_pipeline(path: str | Path) -> TextToTrafficPipeline:
     """Rebuild a pipeline saved by :func:`save_pipeline`.
 
-    Keys the format does not name are ignored, so an archive that also
-    carries derived arrays (older shard archives hold float32 copies of
-    the weights) loads as the plain archive would.
+    Only the keys the format names are read; any other member (older
+    shard archives hold float32 copies of the weights) is never
+    decompressed, so such an archive loads as the plain archive would.
     """
     with np.load(path) as archive:
-        arrays = {key: archive[key] for key in archive.files}
+        arrays = {
+            key: archive[key] for key in archive.files
+            if key == "meta_json" or key.startswith(_ARCHIVE_PREFIXES)
+        }
     meta = json.loads(bytes(arrays.pop("meta_json")).decode())
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ValueError(

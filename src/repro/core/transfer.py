@@ -113,13 +113,12 @@ class TrafficTranslator:
         z = self._encode(flows) + strength * direction.vector
         vectors = self.pipeline.codec.decode(z)
         continuous, gap_channels = self.pipeline._devectorize(vectors)
-        out = []
-        for i, flow in enumerate(flows):
-            decoded = matrix_to_flow(
+        return [
+            matrix_to_flow(
                 continuous[i],
                 gaps_channel=gap_channels[i],
                 label=flow.label + suffix,
                 start_time=flow.start_time,
             )
-            out.append(decoded.flow)
-        return out
+            for i, flow in enumerate(flows)
+        ]

@@ -74,9 +74,9 @@ class PcapWriter:
     ) -> int:
         """Append many pre-rendered packets in one buffered write.
 
-        ``datas`` are wire bytes (e.g. from
-        :class:`repro.net.packet.PacketRenderer`), ``timestamps`` seconds
-        as a float array of the same length.  All record headers for the
+        ``datas`` are wire bytes and ``timestamps`` seconds as a float
+        array of the same length, as :func:`repro.net.packet.render_flows`
+        returns them (a decoded batch's ``records`` and ``stamps``).  All record headers for the
         chunk are packed into one preallocated ``(n, 4)`` uint32 buffer
         (vectorised second/microsecond split with the same round-half-even
         and carry semantics as :meth:`write_raw`), then interleaved with

@@ -39,7 +39,6 @@ from repro.nprint.textio import (
     write_nprint_csv,
 )
 from repro.nprint.decoder import (
-    DecodedFlow,
     FlowBatch,
     NprintDecodeError,
     decode_batch,
@@ -77,7 +76,6 @@ __all__ = [
     "decode_packet",
     "decode_flow",
     "decode_batch",
-    "DecodedFlow",
     "FlowBatch",
     "NprintDecodeError",
     "read_field",

@@ -24,7 +24,6 @@ raises :class:`NprintDecodeError` instead.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,15 +214,6 @@ def _decode_transport(row: np.ndarray, proto: int, strict: bool):
         )
         return icmp, 8
     return None, 0
-
-
-@dataclass
-class DecodedFlow:
-    """A decoded flow plus per-row decode diagnostics."""
-
-    flow: Flow
-    repaired_rows: int = 0
-    skipped_rows: int = 0
 
 
 # Fields the row-batched decoder extracts for every packet at once.
@@ -656,7 +646,7 @@ def decode_flow(
     label: str = "",
     start_time: float = 0.0,
     strict: bool = False,
-) -> DecodedFlow | FlowBatch:
+) -> Flow | FlowBatch:
     """Decode a ``(P, 1088)`` ternary matrix back into a :class:`Flow`.
 
     ``gaps`` optionally supplies inter-arrival seconds per row (see
@@ -664,8 +654,8 @@ def decode_flow(
     are spaced 1 ms apart.  All-vacant rows terminate the flow (padding).
     Non-strict decoding never raises (vacant bits read as zero) and is
     :func:`decode_batch`: a ``(n, P, 1088)`` batch with ``(n, P)`` gaps
-    returns its :class:`FlowBatch`, one matrix a :class:`DecodedFlow` of
-    a one-flow batch.  ``strict=True`` takes one matrix, decodes it row by
+    returns its :class:`FlowBatch`, one matrix the flow of a one-flow
+    batch.  ``strict=True`` takes one matrix, decodes it row by
     row with :func:`decode_packet` and raises on the first inconsistent
     row.
     """
@@ -676,8 +666,7 @@ def decode_flow(
     if gaps is not None:
         gaps = np.asarray(gaps)[None]
     if not strict:
-        batch = decode_batch(matrix[None], gaps, label, start_time)
-        return DecodedFlow(flow=batch[0])
+        return decode_batch(matrix[None], gaps, label, start_time)[0]
     flow = Flow(label=label)
     vacant = (matrix == VACANT).all(axis=1)
     count = int(np.argmax(vacant)) if vacant.any() else matrix.shape[0]
@@ -686,4 +675,4 @@ def decode_flow(
         flow.packets.append(
             decode_packet(matrix[i], timestamp=float(clocks[i]), strict=True)
         )
-    return DecodedFlow(flow=flow)
+    return flow

@@ -20,8 +20,6 @@ Two encoding paths share these semantics:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from repro import perf
@@ -42,9 +40,6 @@ from repro.nprint.fields import (
 )
 
 DEFAULT_MAX_PACKETS = 1024  # the paper encodes up to 1024 packets per flow
-
-#: below this many flows a worker pool costs more than it saves
-_MIN_FLOWS_PER_WORKER = 64
 
 
 def _bytes_to_bits(data: bytes) -> np.ndarray:
@@ -161,38 +156,15 @@ def encode_flow(
     return matrix
 
 
-def _encode_flows_batch(
-    flows: list[Flow], max_packets: int
-) -> np.ndarray:
-    out = np.full((len(flows), max_packets, NPRINT_BITS), VACANT,
-                  dtype=np.int8)
-    packets: list[Packet] = []
-    flow_idx: list[int] = []
-    row_idx: list[int] = []
-    for j, flow in enumerate(flows):
-        head = flow.packets[:max_packets]
-        packets.extend(head)
-        flow_idx.extend([j] * len(head))
-        row_idx.extend(range(len(head)))
-    if packets:
-        rows = encode_packets(packets)
-        out[np.asarray(flow_idx, dtype=np.intp),
-            np.asarray(row_idx, dtype=np.intp)] = rows
-    return out
-
-
 def encode_flows(
     flows: list[Flow],
     max_packets: int = DEFAULT_MAX_PACKETS,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Stack per-flow matrices into ``(n_flows, max_packets, 1088)``.
 
     The batched fast path of :func:`encode_flow` — identical output,
     computed with region-grouped bit unpacking instead of a per-packet
-    loop per flow.  ``workers`` optionally splits large flow lists across
-    a thread pool (NumPy releases the GIL in the unpack/scatter kernels);
-    output order is always the input order.
+    loop per flow.
     """
     if max_packets <= 0:
         raise ValueError("max_packets must be positive")
@@ -200,17 +172,20 @@ def encode_flows(
         return np.empty((0, max_packets, NPRINT_BITS), dtype=np.int8)
     with perf.timer("nprint.encode_flows"):
         perf.incr("nprint.encoded_flows", len(flows))
-        if workers and workers > 1 and len(flows) >= 2 * _MIN_FLOWS_PER_WORKER:
-            n_chunks = min(workers, len(flows) // _MIN_FLOWS_PER_WORKER)
-            bounds = np.linspace(0, len(flows), n_chunks + 1, dtype=int)
-            chunks = [flows[bounds[i]:bounds[i + 1]]
-                      for i in range(n_chunks)]
-            with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-                parts = list(pool.map(
-                    lambda c: _encode_flows_batch(c, max_packets), chunks
-                ))
-            return np.concatenate(parts, axis=0)
-        return _encode_flows_batch(flows, max_packets)
+        out = np.full((len(flows), max_packets, NPRINT_BITS), VACANT,
+                      dtype=np.int8)
+        packets: list[Packet] = []
+        flow_idx: list[int] = []
+        row_idx: list[int] = []
+        for j, flow in enumerate(flows):
+            head = flow.packets[:max_packets]
+            packets.extend(head)
+            flow_idx.extend([j] * len(head))
+            row_idx.extend(range(len(head)))
+        if packets:
+            out[np.asarray(flow_idx, dtype=np.intp),
+                np.asarray(row_idx, dtype=np.intp)] = encode_packets(packets)
+        return out
 
 
 def interarrival_channel(

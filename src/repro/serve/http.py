@@ -47,12 +47,12 @@ PCAP_CONTENT_TYPE = "application/vnd.tcpdump.pcap"
 
 
 def _render_pcap(flows) -> tuple[bytes, int]:
-    from repro.net.packet import PacketRenderer, render_flows
+    from repro.net.packet import render_flows
     from repro.net.pcap import PcapWriter
 
     buf = io.BytesIO()
     writer = PcapWriter(buf)
-    datas, stamps = render_flows(flows, PacketRenderer())
+    datas, stamps = render_flows(flows)
     writer.write_many(datas, stamps)
     return buf.getvalue(), len(datas)
 

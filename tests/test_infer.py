@@ -332,6 +332,24 @@ class TestFp32PackRoundtrip:
                 dtype=dtype)
             assert np.array_equal(a, b)
 
+    def test_legacy_pack_members_never_read(self, fitted, tmp_path,
+                                            monkeypatch):
+        from repro.core.serialization import load_pipeline
+
+        _, legacy = _legacy_archive(fitted, tmp_path)
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording_getitem(archive, key):
+            read.append(key)
+            return getitem(archive, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            recording_getitem)
+        load_pipeline(legacy)
+        assert "meta_json" in read
+        assert not [key for key in read if key.startswith("pack32.")]
+
     def test_digest_unchanged_by_pack(self, fitted, tmp_path):
         from repro.core.serialization import (
             load_pipeline,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import perf
+from repro.net.flow import Flow
 from repro.net.headers import TCPFlags, UDPHeader
 from repro.net.packet import build_packet, render_flows
 from repro.nprint.decoder import (
@@ -135,15 +136,15 @@ class TestDecodeFlow:
     def test_roundtrip_flow(self, sample_flow):
         m = encode_flow(sample_flow, max_packets=8)
         result = decode_flow(m, label="sample")
-        assert len(result.flow) == 5
-        assert result.flow.label == "sample"
-        assert result.skipped_rows == 0
+        assert isinstance(result, Flow)
+        assert len(result) == 5
+        assert result.label == "sample"
 
     def test_gaps_applied(self, sample_flow):
         m = encode_flow(sample_flow, max_packets=8)
         gaps = np.array([0, 1, 1, 1, 1, 0, 0, 0], dtype=float)
         result = decode_flow(m, gaps=gaps, start_time=100.0)
-        ts = [p.timestamp for p in result.flow.packets]
+        ts = [p.timestamp for p in result.packets]
         assert ts[0] == 100.0
         assert ts[1] == pytest.approx(101.0)
         assert ts[4] == pytest.approx(104.0)
@@ -151,7 +152,7 @@ class TestDecodeFlow:
     def test_default_spacing(self, sample_flow):
         m = encode_flow(sample_flow, max_packets=8)
         result = decode_flow(m)
-        gaps = result.flow.interarrival_times()
+        gaps = result.interarrival_times()
         assert all(g == pytest.approx(0.001) for g in gaps)
 
     def test_padding_terminates(self, sample_flow):
@@ -159,7 +160,7 @@ class TestDecodeFlow:
         # A stray packet row after padding must not be decoded.
         m[7] = m[0]
         result = decode_flow(m)
-        assert len(result.flow) == 5
+        assert len(result) == 5
 
     def test_wrong_shape_raises(self):
         with pytest.raises(ValueError):
@@ -172,7 +173,7 @@ class TestDecodeFlow:
         with pytest.raises(NprintDecodeError):
             decode_flow(m, strict=True)
         lenient = decode_flow(m)
-        assert len(lenient.flow) == 5
+        assert len(lenient) == 5
 
 
 def _set_field(row: np.ndarray, name: str, value: int) -> None:
@@ -252,7 +253,7 @@ class TestDecodeBatch:
         m = encode_flow(sample_flow, max_packets=8)
         batch = decode_flow(np.stack([m, m]), gaps=np.full((2, 8), 0.5))
         assert isinstance(batch, FlowBatch)
-        one = decode_flow(m, gaps=np.full(8, 0.5)).flow
+        one = decode_flow(m, gaps=np.full(8, 0.5))
         assert batch.records == 2 * [p.to_bytes() for p in one.packets]
         with pytest.raises(ValueError):
             decode_flow(np.stack([m, m]), strict=True)

@@ -133,12 +133,6 @@ class TestBatchedEncoding:
         )
         assert np.array_equal(batched, reference)
 
-    def test_encode_flows_workers_match_serial(self, mixed_flows):
-        flows = mixed_flows * 2  # enough rows to engage the pool
-        serial = encode_flows(flows, max_packets=8)
-        pooled = encode_flows(flows, max_packets=8, workers=4)
-        assert np.array_equal(serial, pooled)
-
     def test_encode_flows_invalid_max_packets(self, sample_flow):
         with pytest.raises(ValueError):
             encode_flows([sample_flow], max_packets=0)

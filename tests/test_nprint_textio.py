@@ -96,4 +96,4 @@ class TestRead:
         write_nprint_csv(path, matrix)
         back = read_nprint_csv(path, max_packets=8)
         decoded = decode_flow(back)
-        assert len(decoded.flow) == 5
+        assert len(decoded) == 5

@@ -101,23 +101,23 @@ class TestMatrixToFlow:
     def test_clean_roundtrip(self, sample_flow):
         cont = encode_flow(sample_flow, max_packets=8).astype(np.float64)
         result = matrix_to_flow(cont, label="x")
-        assert len(result.flow) == 5
-        assert result.flow.label == "x"
+        assert len(result) == 5
+        assert result.label == "x"
         # Every decoded packet serialises.
-        for p in result.flow.packets:
+        for p in result.packets:
             assert len(p.to_bytes()) >= 28
 
     def test_noisy_matrix_still_decodes(self, sample_flow, rng):
         cont = encode_flow(sample_flow, max_packets=8).astype(np.float64)
         noisy = cont + rng.normal(0, 0.15, size=cont.shape)
         result = matrix_to_flow(noisy)
-        assert len(result.flow) >= 4
+        assert len(result) >= 4
 
     def test_gaps_channel_applied(self, sample_flow):
         cont = encode_flow(sample_flow, max_packets=8).astype(np.float64)
         gaps = np.array([0.0, 0.5, 0.5, 0.5, 0.5, 0, 0, 0])
         result = matrix_to_flow(cont, gaps_channel=gaps_to_channel(gaps))
-        iats = result.flow.interarrival_times()
+        iats = result.interarrival_times()
         assert all(g == pytest.approx(0.5, rel=1e-3) for g in iats)
 
     def test_gaps_given_directly(self, sample_flow):
@@ -126,7 +126,7 @@ class TestMatrixToFlow:
         channel = gaps_to_channel(gaps)
         via_channel = matrix_to_flow(cont, gaps_channel=channel)
         direct = matrix_to_flow(cont, gaps=channel_to_gaps(channel))
-        assert direct.flow.packets == via_channel.flow.packets
+        assert direct.packets == via_channel.packets
         with pytest.raises(ValueError, match="not both"):
             matrix_to_flow(cont, gaps_channel=channel, gaps=gaps)
 
@@ -135,9 +135,9 @@ class TestMatrixToFlow:
         mask = protocol_mask("udp")
         guided = matrix_to_flow(cont, mask=mask)
         chain = matrix_to_flow(apply_structure_guidance(cont, mask))
-        assert guided.flow.packets == chain.flow.packets
-        assert len(guided.flow) == 5
-        assert all(p.proto == 17 for p in guided.flow.packets)
+        assert guided.packets == chain.packets
+        assert len(guided) == 5
+        assert all(p.proto == 17 for p in guided.packets)
 
     def test_repair_guided_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

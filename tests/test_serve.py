@@ -27,7 +27,7 @@ from repro.core.pipeline import (
     PipelineConfig,
     TextToTrafficPipeline,
 )
-from repro.net.packet import PacketRenderer, render_flows
+from repro.net.packet import render_flows
 from repro.net.pcap import PcapWriter
 from repro.serve import (
     SERVE_SALT,
@@ -64,7 +64,7 @@ def fitted():
 def _pcap_bytes(flows) -> bytes:
     buf = io.BytesIO()
     writer = PcapWriter(buf)
-    datas, stamps = render_flows(flows, PacketRenderer())
+    datas, stamps = render_flows(flows)
     writer.write_many(datas, stamps)
     return buf.getvalue()
 

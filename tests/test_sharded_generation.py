@@ -10,7 +10,7 @@ import pytest
 
 from repro import perf
 from repro.core.pipeline import PipelineConfig, TextToTrafficPipeline
-from repro.net.packet import PacketRenderer, render_flows
+from repro.net.packet import render_flows
 from repro.net.pcap import PcapWriter
 from repro.traffic.dataset import generate_app_flows
 
@@ -35,11 +35,10 @@ def fitted():
 def _stream_pcap_bytes(pipeline, n: int, chunk: int, **kwargs) -> bytes:
     stream_file = io.BytesIO()
     writer = PcapWriter(stream_file)
-    renderer = PacketRenderer()
     for result in pipeline.generate_stream(
         "netflix", n, chunk=chunk, **kwargs
     ):
-        datas, stamps = render_flows(result.flows, renderer)
+        datas, stamps = render_flows(result.flows)
         writer.write_many(datas, stamps)
     return stream_file.getvalue()
 
@@ -173,12 +172,11 @@ class TestTailChunk:
         sizes = []
         stream_file = io.BytesIO()
         writer = PcapWriter(stream_file)
-        renderer = PacketRenderer()
         for result in fitted.generate_stream(
             "netflix", 40, chunk=16, rng=np.random.default_rng(7)
         ):
             sizes.append(len(result.flows))
-            datas, stamps = render_flows(result.flows, renderer)
+            datas, stamps = render_flows(result.flows)
             writer.write_many(datas, stamps)
         assert sizes == [16, 16, 8]
         assert stream_file.getvalue() == batch_file.getvalue()
@@ -197,12 +195,11 @@ class TestTailChunk:
             sizes = []
             out = io.BytesIO()
             writer = PcapWriter(out)
-            renderer = PacketRenderer()
             for result in fitted.generate_stream(
                 "netflix", 40, chunk=24, rng=np.random.default_rng(7)
             ):
                 sizes.append(len(result.flows))
-                datas, stamps = render_flows(result.flows, renderer)
+                datas, stamps = render_flows(result.flows)
                 writer.write_many(datas, stamps)
             return sizes, out.getvalue()
 
@@ -232,7 +229,7 @@ class TestServeParity:
         )
         out = io.BytesIO()
         writer = PcapWriter(out)
-        datas, stamps = render_flows(result.flows, PacketRenderer())
+        datas, stamps = render_flows(result.flows)
         writer.write_many(datas, stamps)
         return out.getvalue()
 
@@ -263,7 +260,7 @@ class TestServeParity:
                 out = io.BytesIO()
                 writer = PcapWriter(out)
                 datas, stamps = render_flows(
-                    fut.result(timeout=60).flows, PacketRenderer())
+                    fut.result(timeout=60).flows)
                 writer.write_many(datas, stamps)
                 served[rid] = out.getvalue()
         finally:
@@ -294,7 +291,7 @@ class TestServeParity:
             service.shutdown()
         out = io.BytesIO()
         writer = PcapWriter(out)
-        datas, stamps = render_flows(result.flows, PacketRenderer())
+        datas, stamps = render_flows(result.flows)
         writer.write_many(datas, stamps)
         assert out.getvalue() == streamed
 

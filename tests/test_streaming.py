@@ -1,5 +1,5 @@
 """Million-flow streaming tier: chunked generation, batched pcap writes,
-header-template rendering, the float32 denoiser tier, and the harness's
+object-flow rendering, the float32 denoiser tier, and the harness's
 on-disk stage artifacts."""
 
 from __future__ import annotations
@@ -17,8 +17,15 @@ from repro.experiments.artifacts import (
     load_stage_result,
     save_stage_result,
 )
+from repro.net.checksum import verify_checksum
+from repro.net.flow import Flow
 from repro.net.headers import ICMPHeader, TCPFlags, TCPHeader, UDPHeader
-from repro.net.packet import PacketRenderer, build_packet, render_flows
+from repro.net.packet import (
+    PacketRenderer,
+    build_packet,
+    parse_packet,
+    render_flows,
+)
 from repro.net.pcap import PcapError, PcapWriter
 from repro.traffic.dataset import generate_app_flows
 
@@ -54,11 +61,10 @@ class TestStreamingParity:
 
         stream_file = io.BytesIO()
         writer = PcapWriter(stream_file)
-        renderer = PacketRenderer()
         for result in fitted.generate_stream(
             "netflix", 48, chunk=16, rng=np.random.default_rng(7)
         ):
-            datas, stamps = render_flows(result.flows, renderer)
+            datas, stamps = render_flows(result.flows)
             writer.write_many(datas, stamps)
         assert stream_file.getvalue() == batch_bytes
 
@@ -82,13 +88,12 @@ class TestStreamingParity:
 
         def peak(n):
             writer = PcapWriter(io.BytesIO())
-            renderer = PacketRenderer()
             tracemalloc.start()
             tracemalloc.reset_peak()
             for result in fitted.generate_stream(
                 "netflix", n, chunk=16, rng=np.random.default_rng(1)
             ):
-                datas, stamps = render_flows(result.flows, renderer)
+                datas, stamps = render_flows(result.flows)
                 writer.write_many(datas, stamps)
             _, peak_bytes = tracemalloc.get_traced_memory()
             tracemalloc.stop()
@@ -169,8 +174,11 @@ class TestWriteMany:
 
 
 class TestPacketRenderer:
+    """Object flows render through :meth:`Packet.to_bytes`; the retired
+    template cache's ``PacketRenderer`` is a stateless stand-in."""
+
     def test_randomized_parity_with_to_bytes(self, rng):
-        renderer = PacketRenderer()
+        flows = []
         for i in range(150):
             kind = i % 3
             src = int(rng.integers(0, 1 << 32))
@@ -204,16 +212,20 @@ class TestPacketRenderer:
                 src, dst, transport, payload=payload,
                 ttl=int(rng.integers(1, 256)),
                 identification=int(rng.integers(0, 65536)),
+                timestamp=float(i),
             )
-            assert renderer.render(pkt) == pkt.to_bytes()
-
-    def test_template_cache_reused_within_flow(self, sample_flow):
-        renderer = PacketRenderer()
-        for pkt in sample_flow.packets:
-            assert renderer.render(pkt) == pkt.to_bytes()
-        # One IP template and one TCP template despite five packets.
-        assert len(renderer._ip_cache) == 1
-        assert len(renderer._transport_cache) == 1
+            if kind == 0 or not flows:
+                flows.append(Flow(packets=[]))
+            flows[-1].packets.append(pkt)
+        datas, stamps = render_flows(flows, PacketRenderer())
+        packets = [p for f in flows for p in f.packets]
+        assert datas == [p.to_bytes() for p in packets]
+        assert np.array_equal(stamps, np.arange(150, dtype=np.float64))
+        for data, pkt in zip(datas, packets):
+            assert PacketRenderer().render(pkt) == data
+            back = parse_packet(data)
+            assert verify_checksum(data[: back.ip.header_length])
+            assert back.to_bytes() == data
 
     def test_render_flows_flow_major(self, sample_flow):
         datas, stamps = render_flows([sample_flow, sample_flow])
