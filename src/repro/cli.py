@@ -132,7 +132,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         # --workers switches to deterministic sharded mode: per-chunk
         # seeds derived from --seed, worker processes, flows-only results.
         stream_kwargs = (
-            dict(workers=args.workers, seed=args.seed, yield_arrays=False)
+            dict(workers=args.workers, seed=args.seed)
             if args.workers > 0
             else dict(rng=rng)
         )

@@ -148,7 +148,6 @@ def _shard_worker_pipeline(archive: str) -> "TextToTrafficPipeline":
 
 def _shard_chunk_worker(
     archive: str,
-    out_dir: str,
     class_name: str,
     count: int,
     seed: int,
@@ -157,20 +156,17 @@ def _shard_chunk_worker(
 ):
     """Generate one chunk in a worker process.
 
-    The chunk result is persisted as an on-disk stage artifact (pickle +
-    ``.npy`` sidecars) instead of being shipped back through the result
-    pipe; only the perf snapshot delta for this chunk returns, which the
-    parent merges so end-to-end counters match a single-process run.
+    Returns ``(result, perf snapshot)`` through the pool's result pipe.
+    The result holds flows only (wire records, stamps and counts), and
+    the parent merges the snapshot so end-to-end counters match a
+    single-process run.
     """
     pipeline = _shard_worker_pipeline(archive)
-    from repro.experiments.artifacts import save_stage_result
-
     perf.reset()
     result = pipeline._generate_chunk(
         class_name, count, _shard_chunk_rng(seed, index), opts
     )
-    save_stage_result(result, out_dir)
-    return perf.snapshot()
+    return result, perf.snapshot()
 
 
 @dataclass
@@ -214,10 +210,11 @@ class PipelineConfig:
 class GenerationResult:
     """Raw generation artefacts before/after the pcap back-transform.
 
-    The array fields are ``None`` when a streaming caller asked for flows
-    only (``yield_arrays=False``), and a ``FlowBatch`` then keeps only its
-    flows' packet rows — sharded workers skip shipping the padded
-    matrices and other large intermediates across the process boundary.
+    The array fields are ``None`` in a sharded stream's chunks
+    (:meth:`TextToTrafficPipeline.generate_stream` with ``workers``),
+    which carry flows only: a ``FlowBatch`` of wire records, stamps and
+    counts, so workers ship no large intermediate across the process
+    boundary.
     """
 
     #: a :class:`~repro.nprint.decoder.FlowBatch` (``Sequence[Flow]``),
@@ -229,18 +226,6 @@ class GenerationResult:
     continuous: np.ndarray | None
     gaps: np.ndarray | None
     label: str
-
-
-def _flows_only(result: GenerationResult) -> GenerationResult:
-    """``result`` without its array intermediates (``yield_arrays=False``);
-    a :class:`FlowBatch` keeps only its flows' packet rows."""
-    flows = result.flows
-    if isinstance(flows, FlowBatch):
-        flows = flows.without_matrices()
-    return GenerationResult(
-        flows=flows, matrices=None, continuous=None, gaps=None,
-        label=result.label,
-    )
 
 
 class TextToTrafficPipeline:
@@ -390,15 +375,13 @@ class TextToTrafficPipeline:
         p = cfg.max_packets
         dim = p * NPRINT_BITS + p
         os.makedirs(memmap_dir, exist_ok=True)
-        from repro.experiments.artifacts import create_memmap
-
-        vectors = create_memmap(
-            os.path.join(memmap_dir, "train_vectors.npy"), (n, dim), np.float32
+        vectors = np.lib.format.open_memmap(
+            os.path.join(memmap_dir, "train_vectors.npy"), mode="w+",
+            dtype=np.float32, shape=(n, dim),
         )
-        masks = create_memmap(
-            os.path.join(memmap_dir, "train_masks.npy"),
-            (n, NPRINT_BITS),
-            np.float64,
+        masks = np.lib.format.open_memmap(
+            os.path.join(memmap_dir, "train_masks.npy"), mode="w+",
+            dtype=np.float64, shape=(n, NPRINT_BITS),
         )
         heights = np.empty(n, dtype=np.float64)
         step = 256
@@ -820,20 +803,22 @@ class TextToTrafficPipeline:
         rng: np.random.Generator,
         opts: dict,
     ) -> GenerationResult:
-        """One stream chunk: sample -> decode -> flows (shared with workers)."""
+        """One sharded stream chunk: sample -> decode -> flows only
+        (shared by the in-process reference and the workers)."""
         latents = self.sample_latents(
             class_name, count, steps=opts["steps"],
             use_control=opts["use_control"],
             guidance_weight=opts["guidance_weight"], rng=rng,
             dtype=opts["dtype"],
         )
-        result = self._finalize_latents(
+        flows = self._finalize_latents(
             latents, class_name, hard_guidance=opts["hard_guidance"],
             state_repair=opts["state_repair"], rng=rng,
-        )
-        if not opts["yield_arrays"]:
-            result = _flows_only(result)
-        return result
+        ).flows
+        if isinstance(flows, FlowBatch):
+            flows = flows.without_matrices()
+        return GenerationResult(flows=flows, matrices=None, continuous=None,
+                                gaps=None, label=class_name)
 
     def generate_stream(
         self,
@@ -850,7 +835,6 @@ class TextToTrafficPipeline:
         workers: int | None = None,
         seed: int | None = None,
         shard_dir: str | None = None,
-        yield_arrays: bool = True,
     ):
         """Generate ``n`` flows lazily, one :class:`GenerationResult` chunk
         at a time, with peak memory bounded by the chunk size.
@@ -885,17 +869,16 @@ class TextToTrafficPipeline:
         ``workers=2+`` (fanned out to worker processes).  Workers load
         their fitted-pipeline copies from a content-addressed archive
         (``shard_dir``, defaulting to ``REPRO_CACHE_DIR`` or a run-scoped
-        temp dir), persist chunk results as on-disk artifacts, and return
-        `repro.perf` snapshots that are merged into this process, so
-        counters match a single-process run.  The archive holds float64
+        temp dir) and return each chunk through the pool's result pipe
+        with its `repro.perf` snapshot, which is merged into this process
+        so counters match a single-process run.  The archive holds float64
         weights; at ``dtype=np.float32`` each worker casts them once, when
         it compiles its engine.  Chunks are yielded strictly
         in index order.  ``seed`` defaults to ``config.seed``; passing an
         explicit ``rng`` is an error in sharded mode (a shared generator
-        cannot be split deterministically across processes).
-        ``yield_arrays=False`` drops the large array intermediates from
-        each result (flows only) — worth it in sharded mode, where the
-        arrays would otherwise be written to and read back from disk.
+        cannot be split deterministically across processes).  Sharded
+        chunks carry flows only (wire records, stamps and counts): their
+        ``matrices``, ``continuous`` and ``gaps`` are None.
         """
         self._require_fitted()
         if class_name not in self.class_masks:
@@ -913,7 +896,6 @@ class TextToTrafficPipeline:
             "guidance_weight": guidance_weight,
             "state_repair": state_repair,
             "dtype": dtype,
-            "yield_arrays": yield_arrays,
         }
         if workers is not None:
             if workers < 1:
@@ -942,8 +924,6 @@ class TextToTrafficPipeline:
                 latents, class_name, hard_guidance=hard_guidance,
                 state_repair=state_repair, rng=rng,
             )
-            if not yield_arrays:
-                result = _flows_only(result)
             yield result
             remaining -= m
 
@@ -989,45 +969,33 @@ class TextToTrafficPipeline:
             return
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.experiments.artifacts import load_stage_result
-
         archive, tmp_shard_dir = self._ensure_shard_archive(shard_dir)
-        artifact_root = tempfile.mkdtemp(prefix="repro-shard-chunks-")
         executor = ProcessPoolExecutor(max_workers=workers)
         futures: dict[int, object] = {}
         # Bounded submission window: enough chunks in flight to keep every
         # worker busy, few enough that completed-but-unconsumed results
-        # never pile up on disk faster than the consumer drains them.
+        # never pile up in memory faster than the consumer drains them.
         window = workers + 2
 
         def _submit(index: int) -> None:
             futures[index] = executor.submit(
-                _shard_chunk_worker, archive,
-                os.path.join(artifact_root, f"chunk-{index:06d}"),
-                class_name, counts[index], seed, index, opts,
+                _shard_chunk_worker, archive, class_name, counts[index],
+                seed, index, opts,
             )
 
         try:
             for index in range(min(window, len(counts))):
                 _submit(index)
             for index in range(len(counts)):
-                snapshot = futures.pop(index).result()
+                result, snapshot = futures.pop(index).result()
                 if index + window < len(counts):
                     _submit(index + window)
                 perf.merge_snapshot(snapshot)
                 perf.incr("pipeline.stream_chunks")
                 perf.incr("pipeline.shard_chunks")
-                chunk_dir = os.path.join(
-                    artifact_root, f"chunk-{index:06d}"
-                )
-                # Plain in-RAM load (not mmap) so the chunk dir can be
-                # reclaimed as soon as the result is yielded.
-                result = load_stage_result(chunk_dir, mmap_mode=None)
-                shutil.rmtree(chunk_dir, ignore_errors=True)
                 yield result
         finally:
             executor.shutdown(wait=True, cancel_futures=True)
-            shutil.rmtree(artifact_root, ignore_errors=True)
             if tmp_shard_dir is not None:
                 shutil.rmtree(tmp_shard_dir, ignore_errors=True)
 
@@ -1175,8 +1143,7 @@ class TextToTrafficPipeline:
             )
             vectors = self._vectorize(matrices, gap_channels)
         latents = self.codec.encode(vectors)
-        labels = [class_name] * len(flows)
-        self._append_class_templates(matrices, class_name)
+        self._store_class_templates(matrices, [class_name] * len(flows))
 
         adapters = inject_lora(self.denoiser, rank=rank, rng=self._rng)
         if not adapters:
@@ -1191,11 +1158,3 @@ class TextToTrafficPipeline:
             use_control=False, masks=None, verbose=verbose, tag="lora",
             eager=True,
         )
-
-    def _append_class_templates(
-        self, matrices: np.ndarray, class_name: str
-    ) -> None:
-        masks = np.stack([structure_mask(m) for m in matrices])
-        self.class_masks[class_name] = masks.mean(axis=0)
-        heights = [float((~np.all(m == -1, axis=1)).sum()) for m in matrices]
-        self.class_heights[class_name] = float(np.mean(heights))

@@ -327,7 +327,7 @@ def _full_finetune(
     latents = pipeline.codec.encode(
         pipeline._vectorize(matrices, gap_channels)
     )
-    pipeline._append_class_templates(matrices, class_name)
+    pipeline._store_class_templates(matrices, [class_name] * len(flows))
     params = pipeline.denoiser.parameters() + pipeline.prompt_encoder.parameters()
     optimizer = Adam(params, lr=cfg.learning_rate)
     pipeline._training_loop(

@@ -113,17 +113,3 @@ def load_stage_result(ref: ArtifactRef | str, mmap_mode: str | None = "r"):
     with open(os.path.join(directory, _PICKLE_NAME), "rb") as f:
         return _ArrayUnpickler(f, directory, mmap_mode).load()
 
-
-def create_memmap(path: str, shape: tuple[int, ...], dtype) -> np.memmap:
-    """A writable ``.npy``-format array backed by ``path``.
-
-    The same sidecar format the stage pickler writes, exposed directly:
-    the file is a standard ``.npy`` (``np.lib.format.open_memmap``), so it
-    can be reopened read-only with ``np.load(path, mmap_mode="r")`` or
-    inspected with any npy tooling.  The pipeline's memory-mapped fit tier
-    streams its training matrices into one of these instead of
-    materialising the full float matrix in RAM.
-    """
-    return np.lib.format.open_memmap(
-        str(path), mode="w+", dtype=np.dtype(dtype), shape=tuple(shape)
-    )

@@ -15,10 +15,11 @@ that resolves every inconsistency in favour of structural validity:
 
 :func:`decode_batch` runs that pass over every row of a batch of flows as
 array operations and emits each packet's wire bytes directly (a
-:class:`FlowBatch`); :class:`Packet` objects are built only when a caller
-reads a flow's packets.  :func:`decode_packet` is the one-row reference.
-With ``strict=True`` the repair pass is disabled and any inconsistency
-raises :class:`NprintDecodeError` instead.
+:class:`FlowBatch`).  Those wire records are the decoded packets: a
+:class:`Packet` object is parsed from its record only when a caller reads
+a flow's packets.  :func:`decode_packet` is the one-row reference, and
+the strict decoder: with ``strict=True`` the repair pass is disabled and
+any inconsistency raises :class:`NprintDecodeError` instead.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.net.headers import (
     TCPHeader,
     UDPHeader,
 )
-from repro.net.packet import Packet
+from repro.net.packet import Packet, parse_packet
 from repro.nprint.fields import (
     FIELDS,
     NPRINT_BITS,
@@ -216,19 +217,6 @@ def _decode_transport(row: np.ndarray, proto: int, strict: bool):
     return None, 0
 
 
-# Fields the row-batched decoder extracts for every packet at once.
-_BATCH_FIELDS = (
-    "ipv4.dscp", "ipv4.ecn", "ipv4.total_length", "ipv4.identification",
-    "ipv4.flags", "ipv4.fragment_offset", "ipv4.ttl", "ipv4.proto",
-    "ipv4.src_ip", "ipv4.dst_ip",
-    "tcp.src_port", "tcp.dst_port", "tcp.seq", "tcp.ack", "tcp.flags",
-    "tcp.window", "tcp.urgent_pointer",
-    "udp.src_port", "udp.dst_port",
-    "icmp.type", "icmp.code", "icmp.rest",
-)
-
-_POW2 = (1 << np.arange(31, -1, -1)).astype(np.int64)
-
 # Transport regions in the same order as infer_transport's candidate
 # dict, so occupancy ties resolve identically (first maximum wins).
 _TRANSPORT_REGIONS = (
@@ -236,21 +224,6 @@ _TRANSPORT_REGIONS = (
     (int(IPProto.UDP), REGION_SLICES["udp"]),
     (int(IPProto.ICMP), REGION_SLICES["icmp"]),
 )
-
-
-def _read_fields_batch(rows: np.ndarray) -> dict[str, np.ndarray]:
-    """All :data:`_BATCH_FIELDS` values for every row via one bit matrix.
-
-    Equivalent to calling :func:`_read_field` per row and field
-    (``vacant_as_zero`` semantics: only +1 bits contribute), but the
-    big-endian weighting is a single matmul per field.
-    """
-    bits = (rows == 1).astype(np.int64)
-    values = {}
-    for name in _BATCH_FIELDS:
-        fs = FIELDS[name]
-        values[name] = bits[:, fs.start : fs.stop] @ _POW2[-fs.width :]
-    return values
 
 
 # Byte boundaries of every span the decoder counts present bits over:
@@ -306,85 +279,6 @@ def _transport_protocols(
         np.isin(declared, (1, 6, 17)), declared, int(IPProto.TCP)
     )
     return np.where(no_vote, fallback, voted), no_vote
-
-
-def _decode_rows(rows: np.ndarray, timestamps: list[float]) -> list[Packet]:
-    """Row-batched non-strict :func:`decode_packet` over live rows."""
-    vals = _read_fields_batch(rows)
-    cum = _presence_counts(rows)
-    protos, _ = _transport_protocols(cum, vals["ipv4.proto"])
-
-    ip_opt_bytes = _option_lengths(cum, FIELDS["ipv4.options"])
-    tcp_opt_bytes = _option_lengths(cum, FIELDS["tcp.options"])
-
-    packets = []
-    for i in range(len(rows)):
-        proto = int(protos[i])
-        if proto == IPProto.TCP:
-            opts = (
-                _bits_to_bytes(
-                    rows[i], FIELDS["tcp.options"].start, tcp_opt_bytes[i]
-                )
-                if tcp_opt_bytes[i]
-                else b""
-            )
-            transport = TCPHeader(
-                src_port=int(vals["tcp.src_port"][i]),
-                dst_port=int(vals["tcp.dst_port"][i]),
-                seq=int(vals["tcp.seq"][i]),
-                ack=int(vals["tcp.ack"][i]),
-                reserved=0,
-                flags=int(vals["tcp.flags"][i]),
-                window=int(vals["tcp.window"][i]),
-                urgent_pointer=int(vals["tcp.urgent_pointer"][i]),
-                options=opts,
-            )
-            transport_len = transport.header_length
-        elif proto == IPProto.UDP:
-            transport = UDPHeader(
-                src_port=int(vals["udp.src_port"][i]),
-                dst_port=int(vals["udp.dst_port"][i]),
-            )
-            transport_len = 8
-        elif proto == IPProto.ICMP:
-            transport = ICMPHeader(
-                icmp_type=int(vals["icmp.type"][i]),
-                code=int(vals["icmp.code"][i]),
-                rest=int(vals["icmp.rest"][i]),
-            )
-            transport_len = 8
-        else:
-            transport, transport_len = None, 0
-        ip_opts = (
-            _bits_to_bytes(
-                rows[i], FIELDS["ipv4.options"].start, ip_opt_bytes[i]
-            )
-            if ip_opt_bytes[i]
-            else b""
-        )
-        ip = IPv4Header(
-            version=4,
-            dscp=int(vals["ipv4.dscp"][i]),
-            ecn=int(vals["ipv4.ecn"][i]),
-            identification=int(vals["ipv4.identification"][i]),
-            flags=int(vals["ipv4.flags"][i]),
-            fragment_offset=int(vals["ipv4.fragment_offset"][i]),
-            ttl=int(vals["ipv4.ttl"][i]),
-            proto=proto,
-            src_ip=int(vals["ipv4.src_ip"][i]),
-            dst_ip=int(vals["ipv4.dst_ip"][i]),
-            options=ip_opts,
-        )
-        header_len = ip.header_length + transport_len
-        payload_len = max(0, int(vals["ipv4.total_length"][i]) - header_len)
-        payload_len = min(payload_len, 65535 - header_len)
-        packets.append(Packet(
-            ip=ip,
-            transport=transport,
-            payload=b"\x00" * payload_len,
-            timestamp=timestamps[i],
-        ))
-    return packets
 
 
 def _option_lengths(cum: np.ndarray, fs: FieldSlice) -> np.ndarray:
@@ -501,25 +395,42 @@ def _clocks(
     return np.cumsum(steps, axis=1)
 
 
-class _LazyPackets(Sequence):
-    """A decoded flow's packets, built from its rows on first access.
+def _parse_records(records: list[bytes], stamps: np.ndarray) -> list[Packet]:
+    """The :class:`Packet` of every wire record, equal to what
+    :func:`decode_packet` builds from the record's row.
 
-    The rows are views into the batch's packet rows; they are released
-    once the packets are built.
+    A decoded record carries every field the row does, so parsing it
+    recovers the packet; only the derived ``ip.total_length`` and UDP
+    ``length`` come back pinned, and are unpinned so a packet that state
+    repair edits re-derives them when it is serialised.
     """
+    packets = []
+    for record, stamp in zip(records, stamps.tolist()):
+        pkt = parse_packet(record, stamp)
+        pkt.ip.total_length = None
+        if isinstance(pkt.transport, UDPHeader):
+            pkt.transport.length = None
+        packets.append(pkt)
+    return packets
 
-    __slots__ = ("_rows", "_stamps", "_count", "_packets")
 
-    def __init__(self, rows: np.ndarray, stamps: np.ndarray):
-        self._rows = rows
+class _LazyPackets(Sequence):
+    """A decoded flow's packets, parsed from its wire records on first
+    access; the records and stamps are released once the packets are
+    built."""
+
+    __slots__ = ("_records", "_stamps", "_count", "_packets")
+
+    def __init__(self, records: list[bytes], stamps: np.ndarray):
+        self._records = records
         self._stamps = stamps
-        self._count = len(rows)
+        self._count = len(records)
         self._packets: list[Packet] | None = None
 
     def _decoded(self) -> list[Packet]:
         if self._packets is None:
-            self._packets = _decode_rows(self._rows, self._stamps.tolist())
-            self._rows = self._stamps = None
+            self._packets = _parse_records(self._records, self._stamps)
+            self._records = self._stamps = None
         return self._packets
 
     def __len__(self) -> int:
@@ -543,25 +454,23 @@ class _LazyPackets(Sequence):
 class FlowBatch(Sequence):
     """An immutable batch of decoded flows, held as arrays.
 
-    ``counts`` holds the packets per flow; ``rows``, ``stamps`` and
-    ``records`` hold every packet's ternary row, timestamp and wire bytes
-    in flow-major order.  ``stamps`` and ``records`` are what
-    :meth:`repro.net.pcap.PcapWriter.write_many` takes, and what
-    :func:`repro.net.packet.render_flows` returns for a batch.
+    ``counts`` holds the packets per flow; ``stamps`` and ``records``
+    hold every packet's timestamp and wire bytes in flow-major order.
+    They are what :meth:`repro.net.pcap.PcapWriter.write_many` takes, and
+    what :func:`repro.net.packet.render_flows` returns for a batch.
     ``matrices`` is the ``(n, P, 1088)`` input the batch was decoded
     from, or None once :meth:`without_matrices` dropped it.
 
     Indexing yields :class:`Flow` objects (cached per batch) whose
-    ``packets`` are decoded from the flow's rows on first access, so a
+    ``packets`` are parsed from the flow's records on first access, so a
     caller that only writes pcap or counts packets never builds a
-    :class:`Packet`.  Such a flow keeps the batch's ``rows`` alive until
-    its packets are built; :meth:`to_flows` returns flows that hold no
-    array.  A contiguous slice is a ``FlowBatch`` view of the same arrays.
+    :class:`Packet`.  :meth:`to_flows` returns plain flows with every
+    packet built.  A contiguous slice is a ``FlowBatch`` view of the
+    same arrays.
     """
 
-    def __init__(self, rows, counts, stamps, records, label: str = "",
+    def __init__(self, counts, stamps, records, label: str = "",
                  matrices=None):
-        self.rows = rows
         self.counts = counts
         self.stamps = stamps
         self.records = records
@@ -581,27 +490,26 @@ class FlowBatch(Sequence):
             stop = max(start, stop)
             lo, hi = self._offsets[start], self._offsets[stop]
             return FlowBatch(
-                self.rows[lo:hi], self.counts[start:stop],
-                self.stamps[lo:hi], self.records[lo:hi], self.label,
+                self.counts[start:stop], self.stamps[lo:hi],
+                self.records[lo:hi], self.label,
                 None if self.matrices is None else self.matrices[start:stop],
             )
         i = range(len(self))[index]
         flow = self._flows[i]
         if flow is None:
             lo, hi = self._offsets[i], self._offsets[i + 1]
-            packets = _LazyPackets(self.rows[lo:hi], self.stamps[lo:hi])
+            packets = _LazyPackets(self.records[lo:hi], self.stamps[lo:hi])
             flow = self._flows[i] = Flow(packets=packets, label=self.label)
         return flow
 
     def without_matrices(self) -> "FlowBatch":
         """The same flows without the ``(n, P, 1088)`` input matrices."""
-        return FlowBatch(self.rows, self.counts, self.stamps, self.records,
-                         self.label)
+        return FlowBatch(self.counts, self.stamps, self.records, self.label)
 
     def to_flows(self) -> list[Flow]:
-        """Plain :class:`Flow` objects, every packet decoded now in one
-        pass; they hold no reference to the batch's arrays."""
-        packets = _decode_rows(self.rows, self.stamps.tolist())
+        """Plain :class:`Flow` objects, every packet built now; they hold
+        no reference to the batch."""
+        packets = _parse_records(self.records, self.stamps)
         return [
             Flow(packets=packets[lo:hi], label=self.label)
             for lo, hi in zip(self._offsets[:-1], self._offsets[1:])
@@ -634,9 +542,8 @@ def decode_batch(
     vacant = (matrices == VACANT).all(axis=2)
     counts = np.where(vacant.any(axis=1), vacant.argmax(axis=1), p)
     live = np.arange(p) < counts[:, None]
-    rows = matrices[live]
     stamps = _clocks(gaps, n, p, start_time)[live]
-    return FlowBatch(rows, counts, stamps, _wire_records(rows), label,
+    return FlowBatch(counts, stamps, _wire_records(matrices[live]), label,
                      matrices)
 
 

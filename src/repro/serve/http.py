@@ -112,7 +112,16 @@ class _Handler(BaseHTTPRequestHandler):
         service = self.server.service
         try:
             length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up,
+                # and the body's end is unknown: answer, then close.
+                self.close_connection = True
+                raise ValueError(f"negative Content-Length {length}")
             payload = json.loads(self.rfile.read(length) or b"{}")
+            if not isinstance(payload, dict):
+                raise TypeError(
+                    f"body must be a JSON object, got {type(payload).__name__}"
+                )
             request = GenerateRequest(
                 request_id=int(
                     payload.get("request_id", service.next_request_id())

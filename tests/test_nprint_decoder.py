@@ -229,7 +229,7 @@ class TestDecodeBatch:
         assert batch[0] is batch[0]
         assert [p.transport.seq for p in packets] == \
             [p.transport.seq for p in sample_flow.packets]
-        assert packets._rows is None  # decoded: the batch rows are let go
+        assert packets._records is None  # built: the records are let go
         assert len(packets) == 5
 
     def test_to_flows_equals_lazy_flows(self, sample_flow):
@@ -264,9 +264,10 @@ class TestDecodeBatch:
         part = batch[1:]
         assert isinstance(part, FlowBatch)
         assert np.shares_memory(part.matrices, batch.matrices)
-        assert np.shares_memory(part.rows, batch.rows)
+        assert np.shares_memory(part.stamps, batch.stamps)
         assert part.counts.tolist() == [0, 5]  # reversed: padding first
         assert part.records == batch.records[5:]
+        assert all(a is b for a, b in zip(part.records, batch.records[5:]))
         assert len(part[0]) == 0 and len(part[1]) == 5
 
     def test_udp_checksum_folding_to_zero_is_ffff(self):

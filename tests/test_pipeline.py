@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.controlnet import apply_structure_guidance
+from repro.core.controlnet import apply_structure_guidance, structure_mask
 from repro.core.pipeline import (
     NULL_PROMPT,
     PipelineConfig,
@@ -14,6 +14,7 @@ from repro.core.serialization import load_pipeline, save_pipeline
 from repro.net.flow import Flow
 from repro.net.headers import IPProto
 from repro.net.pcap import read_pcap, write_pcap
+from repro.nprint.encoder import encode_flows
 from repro.traffic.dataset import generate_app_flows
 
 TRAIN_APPS = ("netflix", "teams", "other")
@@ -212,6 +213,12 @@ class TestAddClass:
         }
         history = fitted.add_class("zoom", new_flows, rank=3, steps=120)
         assert len(history) == 120
+        # The class mask is the mean structure mask of its flows.
+        encoded = encode_flows(new_flows, fitted.config.max_packets)
+        assert np.array_equal(
+            fitted.class_masks["zoom"],
+            np.stack([structure_mask(m) for m in encoded]).mean(axis=0),
+        )
         # Base weights untouched (LoRA contract).
         for name, p in fitted.denoiser.named_parameters():
             if name in before:

@@ -189,3 +189,29 @@ class TestSessionCacheDirPlumbing:
                 assert isinstance(key, ast.Constant), f"{path}:{node.lineno}"
                 names.add(key.value)
         assert names == {"REPRO_CACHE_DIR"}
+
+    def test_only_the_experiments_import_the_experiments(self):
+        """No module outside ``repro.experiments`` imports the harness.
+
+        The library (``core``, ``serve``, the CLI ...) stands on its own;
+        the experiments harness builds on it, never the other way round.
+        """
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in root.rglob("*.py"):
+            if path.is_relative_to(root / "experiments"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if any(name == "repro.experiments"
+                       or name.startswith("repro.experiments.")
+                       for name in names):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert offenders == []

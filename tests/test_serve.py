@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -365,6 +366,29 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=30)
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("body", [b"[1]", b"3", b'"x"', b"null"])
+    def test_non_object_json_is_400(self, server, body):
+        _, url = server
+        req = urllib.request.Request(
+            f"{url}/generate", data=body,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=30)
+        assert err.value.code == 400
+
+    def test_negative_content_length_is_400(self, server):
+        _, url = server
+        host, port = url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                b"POST /generate HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: -1\r\n\r\n{}"
+            )
+            status = sock.makefile("rb").readline()
+        assert status.split()[1] == b"400"
 
     def test_unknown_class_is_404(self, server):
         _, url = server

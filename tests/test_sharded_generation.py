@@ -66,16 +66,14 @@ class TestShardedGeneration:
         for dtype in (None, np.float32):
             perf.reset()
             one = _stream_pcap_bytes(
-                fitted, 40, 16, workers=1, seed=123, yield_arrays=False,
-                dtype=dtype,
+                fitted, 40, 16, workers=1, seed=123, dtype=dtype
             )
             counters_one = {
                 name: perf.counter(name) for name in _INVARIANT_COUNTERS
             }
             perf.reset()
             two = _stream_pcap_bytes(
-                fitted, 40, 16, workers=2, seed=123, yield_arrays=False,
-                dtype=dtype,
+                fitted, 40, 16, workers=2, seed=123, dtype=dtype
             )
             counters_two = {
                 name: perf.counter(name) for name in _INVARIANT_COUNTERS
@@ -85,30 +83,19 @@ class TestShardedGeneration:
             assert counters_one["pipeline.shard_chunks"] == 3  # 16+16+8
 
     def test_deterministic_rerun(self, fitted):
-        first = _stream_pcap_bytes(
-            fitted, 24, 8, workers=2, seed=5, yield_arrays=False
-        )
-        second = _stream_pcap_bytes(
-            fitted, 24, 8, workers=2, seed=5, yield_arrays=False
-        )
+        first = _stream_pcap_bytes(fitted, 24, 8, workers=2, seed=5)
+        second = _stream_pcap_bytes(fitted, 24, 8, workers=2, seed=5)
         assert first == second
 
     def test_seed_changes_output(self, fitted):
-        a = _stream_pcap_bytes(
-            fitted, 16, 16, workers=1, seed=1, yield_arrays=False
-        )
-        b = _stream_pcap_bytes(
-            fitted, 16, 16, workers=1, seed=2, yield_arrays=False
-        )
+        a = _stream_pcap_bytes(fitted, 16, 16, workers=1, seed=1)
+        b = _stream_pcap_bytes(fitted, 16, 16, workers=1, seed=2)
         assert a != b
 
     def test_seed_defaults_to_config_seed(self, fitted):
-        implicit = _stream_pcap_bytes(
-            fitted, 16, 16, workers=1, yield_arrays=False
-        )
+        implicit = _stream_pcap_bytes(fitted, 16, 16, workers=1)
         explicit = _stream_pcap_bytes(
             fitted, 16, 16, workers=1, seed=fitted.config.seed,
-            yield_arrays=False,
         )
         assert implicit == explicit
 
@@ -123,36 +110,31 @@ class TestShardedGeneration:
         with pytest.raises(ValueError, match="workers"):
             next(fitted.generate_stream("netflix", 8, chunk=8, workers=0))
 
-    def test_yield_arrays_false_slims_results(self, fitted):
-        results = list(fitted.generate_stream(
-            "netflix", 8, chunk=8, workers=1, seed=0, yield_arrays=False
-        ))
-        assert len(results) == 1
-        assert results[0].matrices is None
-        assert results[0].continuous is None
-        assert results[0].gaps is None
-        assert results[0].flows.matrices is None
-        assert len(results[0].flows) == 8
-        assert all(f.label == "netflix" for f in results[0].flows)
-
-    def test_sharded_default_yields_arrays(self, fitted):
-        result = next(fitted.generate_stream(
-            "netflix", 8, chunk=8, workers=1, seed=0
-        ))
-        assert result.matrices is not None
-        assert result.continuous is not None
+    def test_sharded_chunks_carry_no_arrays(self, fitted):
+        """A sharded chunk is flows only: wire records, stamps and counts."""
+        for workers in (1, 2):
+            results = list(fitted.generate_stream(
+                "netflix", 8, chunk=8, workers=workers, seed=0
+            ))
+            assert len(results) == 1
+            result = results[0]
+            assert result.matrices is None
+            assert result.continuous is None
+            assert result.gaps is None
+            assert result.flows.matrices is None
+            assert len(result.flows) == 8
+            assert len(result.flows.records) == result.flows.counts.sum()
+            assert all(f.label == "netflix" for f in result.flows)
 
     def test_explicit_shard_dir_archive_reused(self, fitted, tmp_path):
         _ = _stream_pcap_bytes(
-            fitted, 16, 8, workers=2, seed=0, yield_arrays=False,
-            shard_dir=str(tmp_path),
+            fitted, 16, 8, workers=2, seed=0, shard_dir=str(tmp_path)
         )
         archives = list(tmp_path.glob("pipeline-shard-*.npz"))
         assert len(archives) == 1
         perf.reset()
         _ = _stream_pcap_bytes(
-            fitted, 16, 8, workers=2, seed=0, yield_arrays=False,
-            shard_dir=str(tmp_path),
+            fitted, 16, 8, workers=2, seed=0, shard_dir=str(tmp_path)
         )
         assert list(tmp_path.glob("pipeline-shard-*.npz")) == archives
         assert perf.counter("pipeline.shard_archive_hit") == 1
