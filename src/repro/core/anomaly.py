@@ -31,9 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.pipeline import TextToTrafficPipeline
-from repro.core.postprocess import gaps_to_channel
 from repro.net.flow import Flow
-from repro.nprint.encoder import encode_flows, interarrival_channels
 from repro.nprint.fields import NPRINT_BITS
 
 _POOL = 16
@@ -63,11 +61,8 @@ class AnomalyScorer:
     # -- internals ---------------------------------------------------------
     def profile(self, flows: list[Flow]) -> np.ndarray:
         """The (n, 70) pooled residual profile described in the module doc."""
-        cfg = self.pipeline.config
-        p = cfg.max_packets
-        matrices = encode_flows(flows, p)
-        gap_channels = gaps_to_channel(interarrival_channels(flows, p))
-        vectors = self.pipeline._vectorize(matrices, gap_channels)
+        p = self.pipeline.config.max_packets
+        _, vectors = self.pipeline._encode(flows)
         z = self.pipeline.codec.encode(vectors)
         residual = self.pipeline.codec.decode(z) - vectors
         matrix_part = residual[:, : p * NPRINT_BITS].reshape(

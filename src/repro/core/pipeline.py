@@ -56,13 +56,8 @@ from repro import perf
 from repro.ml.nn import Adam, Tensor, mse_loss
 from repro.net.flow import Flow
 from repro.nprint.decoder import FlowBatch
-from repro.nprint.encoder import (
-    encode_flow,
-    encode_flows,
-    interarrival_channel,
-    interarrival_channels,
-)
-from repro.nprint.fields import NPRINT_BITS
+from repro.nprint.encoder import encode_flows, interarrival_channels
+from repro.nprint.fields import NPRINT_BITS, VACANT
 
 #: prompt used for the unconditional branch of classifier-free guidance
 NULL_PROMPT = "null"
@@ -93,6 +88,13 @@ def _check_finite(latents: np.ndarray) -> None:
         raise NonFiniteLatentsError(
             f"{bad} of {len(finite)} sampled latent rows are not finite"
         )
+
+
+def _structure(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-flow ``(structure masks, packet counts)`` of nprint matrices."""
+    masks = np.stack([structure_mask(m) for m in matrices])
+    heights = (~np.all(matrices == VACANT, axis=2)).sum(axis=1)
+    return masks, heights.astype(np.float64)
 
 
 def _shard_chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -252,10 +254,13 @@ class TextToTrafficPipeline:
         self._infer_engines: dict[str, object] = {}
 
     # -- representation -------------------------------------------------------
-    def _flow_vector(self, flow: Flow) -> tuple[np.ndarray, np.ndarray]:
-        matrix = encode_flow(flow, self.config.max_packets)
-        gaps = interarrival_channel(flow, self.config.max_packets)
-        return matrix, gaps
+    def _encode(self, flows: list[Flow]) -> tuple[np.ndarray, np.ndarray]:
+        """``(matrices, vectors)``: the flows' nprint matrices and codec
+        inputs (flattened bits plus the interarrival channel)."""
+        p = self.config.max_packets
+        matrices = encode_flows(flows, p)
+        gaps = gaps_to_channel(interarrival_channels(flows, p))
+        return matrices, self._vectorize(matrices, gaps)
 
     def _vectorize(
         self, matrices: np.ndarray, gap_channels: np.ndarray
@@ -309,27 +314,19 @@ class TextToTrafficPipeline:
                 self.vocab.add(token)
 
         cfg = self.config
-        memmap_masks = None
-        if memmap_dir is None:
-            with perf.timer("pipeline.fit.encode"):
-                matrices = encode_flows(flows, cfg.max_packets)
-                gap_channels = gaps_to_channel(
-                    interarrival_channels(flows, cfg.max_packets)
+        with perf.timer("pipeline.fit.encode"):
+            if memmap_dir is None:
+                matrices, vectors = self._encode(flows)
+                masks, heights = _structure(matrices)
+                del matrices
+            else:
+                vectors, masks, heights = self._encode_training_memmap(
+                    flows, memmap_dir
                 )
-                vectors = self._vectorize(matrices, gap_channels)
-            with perf.timer("pipeline.fit.codec"):
-                self.codec.fit(vectors)
-                latents = self.codec.encode(vectors)
-            self._store_class_templates(matrices, labels)
-        else:
-            with perf.timer("pipeline.fit.encode"):
-                vectors, memmap_masks, heights = (
-                    self._encode_training_memmap(flows, memmap_dir)
-                )
-            with perf.timer("pipeline.fit.codec"):
-                self.codec.fit(vectors)
-                latents = self.codec.encode(vectors)
-            self._store_class_templates_lowmem(memmap_masks, heights, labels)
+        with perf.timer("pipeline.fit.codec"):
+            self.codec.fit(vectors)
+            latents = self.codec.encode(vectors)
+        self._store_class_templates(masks, heights, labels)
 
         self.prompt_encoder = PromptEncoder(self.vocab, cfg.cond_dim,
                                             rng=self._rng)
@@ -347,11 +344,6 @@ class TextToTrafficPipeline:
 
         self.controlnet = ControlNetBranch(cfg.hidden, cfg.blocks,
                                            rng=self._rng)
-        masks = (
-            memmap_masks
-            if memmap_masks is not None
-            else np.stack([structure_mask(m) for m in matrices])
-        )
         with perf.timer("pipeline.fit.train_controlnet"):
             self.controlnet_history = self._train_controlnet(
                 latents, prompts, masks, verbose
@@ -388,26 +380,17 @@ class TextToTrafficPipeline:
         for start in range(0, n, step):
             batch = flows[start:start + step]
             stop = start + len(batch)
-            m = encode_flows(batch, p)
-            gaps = gaps_to_channel(interarrival_channels(batch, p))
-            vectors[start:stop] = self._vectorize(m, gaps)
-            masks[start:stop] = np.stack([structure_mask(x) for x in m])
-            heights[start:stop] = [
-                float((~np.all(x == -1, axis=1)).sum()) for x in m
-            ]
+            m, vectors[start:stop] = self._encode(batch)
+            masks[start:stop], heights[start:stop] = _structure(m)
         vectors.flush()
         masks.flush()
         return vectors, masks, heights
 
-    def _store_class_templates_lowmem(
+    def _store_class_templates(
         self, masks: np.ndarray, heights: np.ndarray, labels: list[str]
     ) -> None:
-        """Class templates from precomputed per-flow masks/heights.
-
-        Same reductions over the same rows as
-        :meth:`_store_class_templates`, so the resulting templates are
-        bitwise-identical to the in-RAM fit path.
-        """
+        """Per-class mean structure mask and mean packet count, from the
+        per-flow ``(masks, heights)`` of :func:`_structure`."""
         labels_arr = np.asarray(labels)
         for name in self.codebook.classes:
             sel = labels_arr == name
@@ -415,22 +398,6 @@ class TextToTrafficPipeline:
                 continue
             self.class_masks[name] = np.asarray(masks[sel]).mean(axis=0)
             self.class_heights[name] = float(np.mean(heights[sel]))
-
-    def _store_class_templates(
-        self, matrices: np.ndarray, labels: list[str]
-    ) -> None:
-        """Per-class mean structure mask + mean packet count."""
-        labels_arr = np.asarray(labels)
-        for name in self.codebook.classes:
-            rows = matrices[labels_arr == name]
-            if len(rows) == 0:
-                continue
-            masks = np.stack([structure_mask(m) for m in rows])
-            self.class_masks[name] = masks.mean(axis=0)
-            heights = [
-                float((~np.all(m == -1, axis=1)).sum()) for m in rows
-            ]
-            self.class_heights[name] = float(np.mean(heights))
 
     def _train_base(
         self, latents: np.ndarray, prompts: list[str], verbose: bool
@@ -1130,27 +1097,14 @@ class TextToTrafficPipeline:
         if not flows:
             raise ValueError("need flows for the new class")
         self._invalidate_engines()
-        cfg = self.config
-        prompt = self.codebook.add_class(class_name)
-        for token in prompt.split():
-            self.vocab.add(token)
-        self.prompt_encoder.grow_to_vocab()
-
-        with perf.timer("pipeline.add_class.encode"):
-            matrices = encode_flows(flows, cfg.max_packets)
-            gap_channels = gaps_to_channel(
-                interarrival_channels(flows, cfg.max_packets)
-            )
-            vectors = self._vectorize(matrices, gap_channels)
-        latents = self.codec.encode(vectors)
-        self._store_class_templates(matrices, [class_name] * len(flows))
+        prompt, latents = self._register_class(class_name, flows)
 
         adapters = inject_lora(self.denoiser, rank=rank, rng=self._rng)
         if not adapters:
             raise RuntimeError("no linear layers found to adapt")
         params = lora_parameters(self.denoiser)
         params.extend(self.prompt_encoder.parameters())
-        optimizer = Adam(params, lr=cfg.learning_rate)
+        optimizer = Adam(params, lr=self.config.learning_rate)
         prompts = [prompt] * len(flows)
         # compile_training rejects adapter trees: LoRA trains on the tape.
         return self._training_loop(
@@ -1158,3 +1112,23 @@ class TextToTrafficPipeline:
             use_control=False, masks=None, verbose=verbose, tag="lora",
             eager=True,
         )
+
+    def _register_class(
+        self, class_name: str, flows: list[Flow]
+    ) -> tuple[str, np.ndarray]:
+        """Mint ``class_name``'s prompt tokens and store its templates.
+
+        Shared by :meth:`add_class` and the full fine-tune ablation;
+        returns the class prompt and the flows' latents.
+        """
+        prompt = self.codebook.add_class(class_name)
+        for token in prompt.split():
+            self.vocab.add(token)
+        self.prompt_encoder.grow_to_vocab()
+        with perf.timer("pipeline.add_class.encode"):
+            matrices, vectors = self._encode(flows)
+        latents = self.codec.encode(vectors)
+        self._store_class_templates(
+            *_structure(matrices), [class_name] * len(flows)
+        )
+        return prompt, latents

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.pipeline import TextToTrafficPipeline
-from repro.core.postprocess import gaps_to_channel, matrix_to_flow
+from repro.core.postprocess import matrix_to_flow
 from repro.net.flow import Flow
-from repro.nprint.encoder import encode_flows, interarrival_channels
 
 
 @dataclass
@@ -59,12 +58,7 @@ class TrafficTranslator:
 
     # -- encoding helpers ------------------------------------------------
     def _encode(self, flows: list[Flow]) -> np.ndarray:
-        cfg = self.pipeline.config
-        matrices = encode_flows(flows, cfg.max_packets)
-        gap_channels = gaps_to_channel(
-            interarrival_channels(flows, cfg.max_packets)
-        )
-        vectors = self.pipeline._vectorize(matrices, gap_channels)
+        _, vectors = self.pipeline._encode(flows)
         return self.pipeline.codec.encode(vectors)
 
     # -- direction estimation -----------------------------------------------

@@ -311,25 +311,11 @@ def _full_finetune(
     steps: int,
 ) -> None:
     """Register the new class and fine-tune *all* denoiser weights."""
-    from repro.core.postprocess import gaps_to_channel
     from repro.ml.nn import Adam
-    from repro.nprint.encoder import interarrival_channels
 
-    cfg = pipeline.config
-    prompt = pipeline.codebook.add_class(class_name)
-    for token in prompt.split():
-        pipeline.vocab.add(token)
-    pipeline.prompt_encoder.grow_to_vocab()
-    matrices = encode_flows(flows, cfg.max_packets)
-    gap_channels = gaps_to_channel(
-        interarrival_channels(flows, cfg.max_packets)
-    )
-    latents = pipeline.codec.encode(
-        pipeline._vectorize(matrices, gap_channels)
-    )
-    pipeline._store_class_templates(matrices, [class_name] * len(flows))
+    prompt, latents = pipeline._register_class(class_name, flows)
     params = pipeline.denoiser.parameters() + pipeline.prompt_encoder.parameters()
-    optimizer = Adam(params, lr=cfg.learning_rate)
+    optimizer = Adam(params, lr=pipeline.config.learning_rate)
     pipeline._training_loop(
         latents, [prompt] * len(flows), optimizer, steps,
         use_control=False, masks=None, verbose=False, tag="full-ft",

@@ -1,9 +1,9 @@
 """Run every experiment and print the paper-vs-measured report.
 
-The harness is a *stage graph*: every experiment is declared as a
-:class:`Stage` with explicit dependencies, and independent stages can be
-fanned out across worker processes (``--jobs N``).  Three properties make
-the parallel mode safe:
+Every experiment is declared as an independent :class:`Stage`; with
+``--jobs N`` the stages fan out across worker processes, submitted
+largest declared cost first.  Three properties make the parallel mode
+safe:
 
 * **Deterministic per-stage seeds.**  Every stage derives its RNG streams
   from ``config.seed`` alone, and each worker rebuilds its experiment
@@ -14,9 +14,11 @@ the parallel mode safe:
   cache (:func:`repro.core.serialization.fit_or_load`); workers load it
   instead of retraining.  ``--cache-dir`` persists the cache across runs
   (a temp directory is used otherwise).
-* **Merged perf telemetry.**  Each worker ships its ``repro.perf``
-  snapshot back with the stage result and the parent folds it into its
-  own registry, so ``--perf`` reports stay complete under ``--jobs``.
+* **Merged perf telemetry.**  Each worker returns its result, its
+  wall-clock and its ``repro.perf`` snapshot through the pool's result
+  pipe (a stage result pickles to well under 2 KB), and the parent folds
+  the snapshot into its own registry, so ``--perf`` reports stay
+  complete under ``--jobs``.
 
 Usage::
 
@@ -29,20 +31,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from repro import perf
-from repro.experiments.artifacts import (
-    ArtifactRef,
-    load_stage_result,
-    save_stage_result,
-)
 from repro.experiments import (
     ablations,
     data,
@@ -110,20 +106,17 @@ def _stage_fidelity(config: ExperimentConfig, output_dir: str | None):
 
 @dataclass(frozen=True)
 class Stage:
-    """One declared harness stage.
+    """One declared harness stage; stages do not depend on each other.
 
-    ``deps`` are stage names that must finish first (skipped deps count
-    as satisfied).  ``needs_pipeline`` marks stages that consume the
-    shared fitted base pipeline; the parallel scheduler warms the
-    pipeline cache once before fanning those out.  ``est_seconds`` is a
-    declared cost estimate (tiny-preset wall-clock) used to order ready
-    stages longest-first when no measured ``stage_times.json`` from a
-    previous run is available.
+    ``needs_pipeline`` marks stages that consume the shared fitted base
+    pipeline; the parallel runner warms the pipeline cache once before
+    fanning those out.  ``est_seconds`` is a declared cost estimate
+    (tiny-preset wall-clock); the parallel runner submits stages
+    longest-first by it.
     """
 
     name: str
     fn: object
-    deps: tuple[str, ...] = ()
     needs_pipeline: bool = False
     est_seconds: float = 1.0
 
@@ -160,7 +153,6 @@ def _run_stage_worker(
     config: ExperimentConfig,
     output_dir: str | None,
     cache_dir: str | None,
-    artifact_dir: str | None = None,
 ):
     """Execute one stage in a worker process.
 
@@ -168,11 +160,6 @@ def _run_stage_worker(
     context, the shared cache directory — so the result only depends on
     ``config`` and the stage itself.  Returns the result, the stage
     wall-clock, and the worker's perf snapshot for the parent to merge.
-
-    With ``artifact_dir`` set, the result is saved there instead of being
-    shipped through the pool's result pipe, and an :class:`ArtifactRef`
-    is returned in its place — the parent reopens large arrays with
-    ``mmap_mode="r"`` rather than copying them between processes.
     """
     perf.reset()
     data.clear_contexts()
@@ -180,45 +167,7 @@ def _run_stage_worker(
     start = time.perf_counter()
     result = _STAGE_BY_NAME[name].fn(config, output_dir)
     elapsed = time.perf_counter() - start
-    if artifact_dir is not None:
-        result = save_stage_result(result, artifact_dir)
     return result, elapsed, perf.snapshot()
-
-
-def _stage_costs(
-    stages: list[Stage], output_dir: str | None
-) -> dict[str, float]:
-    """Per-stage cost for the scheduler: measured if available, else declared.
-
-    A previous run's ``stage_times.json`` (written next to the report by
-    :func:`run_all`) supplies measured wall-clock; stages it does not
-    cover fall back to their declared ``est_seconds``.
-    """
-    measured: dict[str, float] = {}
-    if output_dir is not None:
-        path = os.path.join(output_dir, "stage_times.json")
-        try:
-            with open(path) as f:
-                loaded = json.load(f)
-            measured = {
-                str(k): float(v)
-                for k, v in loaded.items()
-                if isinstance(v, (int, float))
-            }
-        except (OSError, ValueError):
-            measured = {}
-    return {s.name: measured.get(s.name, s.est_seconds) for s in stages}
-
-
-def _write_stage_times(
-    timings: dict[str, float], output_dir: str | None
-) -> None:
-    if output_dir is None:
-        return
-    os.makedirs(output_dir, exist_ok=True)
-    with open(os.path.join(output_dir, "stage_times.json"), "w") as f:
-        json.dump(timings, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _run_sequential(
@@ -253,11 +202,6 @@ def _run_parallel(
         temp_cache = tempfile.mkdtemp(prefix="repro-pipeline-cache-")
         cache_dir = temp_cache
     data.set_cache_dir(cache_dir)
-    # Run-scoped artifact store: workers save results here and return
-    # only paths; the parent mmaps the arrays back in.  Unlinked in the
-    # finally block — established maps survive the unlink on Linux.
-    artifact_root = tempfile.mkdtemp(prefix="repro-stage-artifacts-")
-    costs = _stage_costs(stages, output_dir)
     try:
         if any(s.needs_pipeline for s in stages):
             print("\n=== prewarm (shared pipeline -> cache) ===", flush=True)
@@ -267,47 +211,27 @@ def _run_parallel(
             timings["prewarm"] = elapsed
             print(f"=== prewarm done ({elapsed:.1f}s) ===")
 
-        remaining = list(stages)
-        done: set[str] = {s.name for s in STAGES if s not in stages}
-        pending: dict = {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            while remaining or pending:
-                ready = [
-                    s for s in remaining
-                    if all(d in done for d in s.deps)
-                ]
-                # Longest-first (LPT): submit the most expensive ready
-                # stages first so the long poles overlap the short tail
-                # instead of serialising behind it.
-                ready.sort(key=lambda s: costs[s.name], reverse=True)
-                for stage in ready:
-                    remaining.remove(stage)
-                    print(f"\n=== {stage.name} started ===", flush=True)
-                    future = pool.submit(
-                        _run_stage_worker, stage.name, config, output_dir,
-                        cache_dir,
-                        os.path.join(artifact_root, stage.name),
-                    )
-                    pending[future] = stage
-                if not pending:
-                    raise RuntimeError(
-                        "stage dependency cycle among "
-                        f"{sorted(s.name for s in remaining)}"
-                    )
-                finished = wait(set(pending), return_when=FIRST_COMPLETED)
-                for future in finished.done:
-                    stage = pending.pop(future)
-                    result, elapsed, snap = future.result()
-                    if isinstance(result, ArtifactRef):
-                        result = load_stage_result(result)
-                    results[stage.name] = result
-                    timings[stage.name] = elapsed
-                    perf.get_registry().merge_snapshot(snap)
-                    done.add(stage.name)
-                    print(f"\n=== {stage.name} done ({elapsed:.1f}s) ===")
-                    _render_result(result)
+            # Longest-first: the long poles start at once and overlap the
+            # short tail instead of serialising behind it.
+            pending = {}
+            for stage in sorted(stages, key=lambda s: s.est_seconds,
+                                reverse=True):
+                print(f"\n=== {stage.name} started ===", flush=True)
+                future = pool.submit(
+                    _run_stage_worker, stage.name, config, output_dir,
+                    cache_dir,
+                )
+                pending[future] = stage
+            for future in as_completed(pending):
+                stage = pending[future]
+                result, elapsed, snap = future.result()
+                results[stage.name] = result
+                timings[stage.name] = elapsed
+                perf.get_registry().merge_snapshot(snap)
+                print(f"\n=== {stage.name} done ({elapsed:.1f}s) ===")
+                _render_result(result)
     finally:
-        shutil.rmtree(artifact_root, ignore_errors=True)
         if temp_cache is not None:
             shutil.rmtree(temp_cache, ignore_errors=True)
 
@@ -322,16 +246,11 @@ def run_all(
 ) -> dict[str, object]:
     """Run the full harness; returns {experiment: result object}.
 
-    ``jobs > 1`` fans independent stages out over that many worker
-    processes.  ``cache_dir`` enables the on-disk fitted-pipeline cache
-    (always enabled — via a temp directory — in parallel mode).
-    ``timings``, when given, is filled with per-stage wall-clock seconds
-    (feed it to :func:`write_markdown`).
-
-    Measured per-stage wall-clock is also written to
-    ``<output_dir>/stage_times.json``; the next parallel run reads it to
-    schedule ready stages longest-first from real costs instead of the
-    declared estimates.
+    ``jobs > 1`` runs the stages on that many worker processes, largest
+    declared ``est_seconds`` first.  ``cache_dir`` enables the on-disk
+    fitted-pipeline cache (always enabled — via a temp directory — in
+    parallel mode).  ``timings``, when given, is filled with per-stage
+    wall-clock seconds (feed it to :func:`write_markdown`).
     """
     results: dict[str, object] = {}
     timings = timings if timings is not None else {}
@@ -353,7 +272,6 @@ def run_all(
             }
     finally:
         data.set_cache_dir(previous_cache_dir)
-    _write_stage_times(timings, output_dir)
     return results
 
 

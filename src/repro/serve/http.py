@@ -15,7 +15,8 @@ Routes:
   responds with a pcap body (``application/vnd.tcpdump.pcap``) plus
   ``X-Repro-Request-Id`` / ``X-Repro-Flows`` / ``X-Repro-Packets``
   headers.  429 when the queue is full, 504 on deadline, 404 for an
-  unknown class or model, 503 while draining.
+  unknown class or model, 503 while draining, 408 (and the connection
+  closes) when the body does not arrive within :data:`SOCKET_TIMEOUT`.
 * ``GET /healthz`` — 200 once a default model is resolvable, 503 before
   that and while draining.
 * ``GET /metrics`` — Prometheus text format 0.0.4
@@ -43,6 +44,10 @@ from repro.serve.service import (
 #: the service sets a deadline
 DEFAULT_RESULT_TIMEOUT = 60.0
 
+#: seconds a connection thread waits on one socket read or write before
+#: it gives the connection up
+SOCKET_TIMEOUT = 10.0
+
 PCAP_CONTENT_TYPE = "application/vnd.tcpdump.pcap"
 
 
@@ -62,6 +67,10 @@ class _Handler(BaseHTTPRequestHandler):
     # Small request/response bodies on persistent-ish connections: Nagle
     # only adds delayed-ACK stalls here.
     disable_nagle_algorithm = True
+    # StreamRequestHandler.setup applies this to the connection socket, so
+    # a client that sends less body than its Content-Length (or goes idle
+    # on a kept-alive connection) cannot hold a thread forever.
+    timeout = SOCKET_TIMEOUT
     server: "TrafficServer"
 
     # -- plumbing -----------------------------------------------------------
@@ -117,7 +126,13 @@ class _Handler(BaseHTTPRequestHandler):
                 # and the body's end is unknown: answer, then close.
                 self.close_connection = True
                 raise ValueError(f"negative Content-Length {length}")
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            try:
+                body = self.rfile.read(length)
+            except TimeoutError:
+                self.close_connection = True
+                self._reply_json(408, {"error": "request body timed out"})
+                return
+            payload = json.loads(body or b"{}")
             if not isinstance(payload, dict):
                 raise TypeError(
                     f"body must be a JSON object, got {type(payload).__name__}"

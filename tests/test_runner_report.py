@@ -97,13 +97,6 @@ class TestRunner:
 
 
 class TestParallelRunner:
-    def test_stage_graph_has_no_cycles(self):
-        from repro.experiments.runner import STAGES
-
-        names = {s.name for s in STAGES}
-        for stage in STAGES:
-            assert set(stage.deps) <= names - {stage.name}
-
     def test_parallel_matches_sequential(self, tmp_path, capsys):
         from repro import perf
         from repro.experiments import data
@@ -132,6 +125,9 @@ class TestParallelRunner:
         assert "prewarm" in timings
         assert {"table1", "figure2"} <= set(timings)
         assert "=== figure2 started ===" in out
+        # Stages are submitted largest declared cost first.
+        assert out.index("=== table1 started ===") < out.index(
+            "=== figure2 started ===")
         assert "=== figure2 done (" in out
         registry = perf.get_registry()
         assert registry.count("pipeline.cache_hit") >= 1

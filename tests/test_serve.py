@@ -41,7 +41,7 @@ from repro.serve import (
     ServiceOverloaded,
     request_rng,
 )
-from repro.serve.http import TrafficServer
+from repro.serve.http import TrafficServer, _Handler
 from repro.traffic.dataset import generate_app_flows
 
 
@@ -389,6 +389,22 @@ class TestHTTP:
             )
             status = sock.makefile("rb").readline()
         assert status.split()[1] == b"400"
+
+    def test_short_body_times_out(self, server, monkeypatch):
+        # The body is shorter than Content-Length: the read must time out
+        # instead of holding the handler thread until the client leaves.
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        _, url = server
+        host, port = url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=3) as sock:
+            sock.sendall(
+                b"POST /generate HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 100\r\n\r\n{}"
+            )
+            # read() returns once the server closes the connection.
+            reply = sock.makefile("rb").read()
+        assert reply.startswith(b"HTTP/1.1 408 ")
 
     def test_unknown_class_is_404(self, server):
         _, url = server

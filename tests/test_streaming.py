@@ -1,22 +1,15 @@
 """Million-flow streaming tier: chunked generation, batched pcap writes,
-object-flow rendering, the float32 denoiser tier, and the harness's
-on-disk stage artifacts."""
+object-flow rendering and the float32 denoiser tier."""
 
 from __future__ import annotations
 
 import io
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import PipelineConfig, TextToTrafficPipeline
-from repro.experiments.artifacts import (
-    ArtifactRef,
-    load_stage_result,
-    save_stage_result,
-)
 from repro.net.checksum import verify_checksum
 from repro.net.flow import Flow
 from repro.net.headers import ICMPHeader, TCPFlags, TCPHeader, UDPHeader
@@ -265,67 +258,3 @@ class TestFloat32Tier:
             "netflix", 4, rng=np.random.default_rng(3)
         )
         assert np.array_equal(a, b)
-
-
-class TestStageArtifacts:
-    def test_roundtrip_with_mmap(self, tmp_path):
-        big = np.arange(4096, dtype=np.float64).reshape(64, 64)
-        small = np.ones(4, dtype=np.float32)
-        shared = np.linspace(0.0, 1.0, 2048)
-        result = {
-            "big": big, "small": small, "pair": (shared, shared),
-            "meta": {"name": "stage", "count": 3},
-        }
-        ref = save_stage_result(result, str(tmp_path / "stage"))
-        assert isinstance(ref, ArtifactRef)
-        loaded = load_stage_result(ref)
-        assert np.array_equal(loaded["big"], big)
-        assert isinstance(loaded["big"], np.memmap)
-        # Small arrays stay inline in the pickle.
-        assert not isinstance(loaded["small"], np.memmap)
-        assert np.array_equal(loaded["small"], small)
-        # Aliasing in the object graph survives the roundtrip.
-        assert loaded["pair"][0] is loaded["pair"][1]
-        assert loaded["meta"] == {"name": "stage", "count": 3}
-
-    def test_mmap_none_loads_plain_arrays(self, tmp_path):
-        big = np.zeros((64, 64))
-        ref = save_stage_result({"big": big}, str(tmp_path / "s"))
-        loaded = load_stage_result(ref, mmap_mode=None)
-        assert not isinstance(loaded["big"], np.memmap)
-        assert np.array_equal(loaded["big"], big)
-
-
-class TestSchedulerCosts:
-    def test_falls_back_to_declared_estimates(self, tmp_path):
-        from repro.experiments.runner import STAGES, _stage_costs
-
-        costs = _stage_costs(list(STAGES), str(tmp_path))
-        assert costs == {s.name: s.est_seconds for s in STAGES}
-
-    def test_measured_times_override_estimates(self, tmp_path):
-        from repro.experiments.runner import STAGES, _stage_costs
-
-        measured = {"table1": 42.0, "prewarm": 9.0}
-        with open(tmp_path / "stage_times.json", "w") as f:
-            json.dump(measured, f)
-        costs = _stage_costs(list(STAGES), str(tmp_path))
-        assert costs["table1"] == 42.0
-        assert "prewarm" not in costs
-        assert costs["extensions"] == 69.0
-
-    def test_longest_first_ordering(self, tmp_path):
-        from repro.experiments.runner import STAGES, _stage_costs
-
-        costs = _stage_costs(list(STAGES), None)
-        ordered = sorted(STAGES, key=lambda s: costs[s.name], reverse=True)
-        assert [s.name for s in ordered[:3]] == [
-            "extensions", "ablations", "fidelity",
-        ]
-
-    def test_run_all_writes_stage_times(self, tmp_path):
-        from repro.experiments.runner import _write_stage_times
-
-        _write_stage_times({"a": 1.5}, str(tmp_path))
-        with open(tmp_path / "stage_times.json") as f:
-            assert json.load(f) == {"a": 1.5}
