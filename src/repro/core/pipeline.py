@@ -148,27 +148,36 @@ def _shard_worker_pipeline(archive: str) -> "TextToTrafficPipeline":
     return pipeline
 
 
+def _flows_only(result: "GenerationResult") -> "GenerationResult":
+    """A sharded stream chunk: ``result``'s flows without its arrays."""
+    flows = result.flows
+    if isinstance(flows, FlowBatch):
+        flows = flows.without_matrices()
+    return GenerationResult(flows=flows, matrices=None, continuous=None,
+                            gaps=None, label=result.label)
+
+
 def _shard_chunk_worker(
     archive: str,
     class_name: str,
     count: int,
     seed: int,
     index: int,
-    opts: dict,
+    **options,
 ):
     """Generate one chunk in a worker process.
 
     Returns ``(result, perf snapshot)`` through the pool's result pipe.
     The result holds flows only (wire records, stamps and counts), and
     the parent merges the snapshot so end-to-end counters match a
-    single-process run.
+    single-process run.  ``options`` are :meth:`generate_raw` keywords.
     """
     pipeline = _shard_worker_pipeline(archive)
     perf.reset()
-    result = pipeline._generate_chunk(
-        class_name, count, _shard_chunk_rng(seed, index), opts
+    result = pipeline.generate_raw(
+        class_name, count, rng=_shard_chunk_rng(seed, index), **options
     )
-    return result, perf.snapshot()
+    return _flows_only(result), perf.snapshot()
 
 
 @dataclass
@@ -194,8 +203,6 @@ class PipelineConfig:
     controlnet_steps: int = 500
     cond_dropout: float = 0.1  # classifier-free guidance training dropout
     guidance_weight: float = 2.0
-    use_ema: bool = False  # sample from an EMA of the base weights
-    ema_decay: float = 0.999
     ddim_steps: int = 40
     generation_batch: int = 256
     seed: int = 0
@@ -405,23 +412,10 @@ class TextToTrafficPipeline:
         cfg = self.config
         params = self.denoiser.parameters() + self.prompt_encoder.parameters()
         optimizer = Adam(params, lr=cfg.learning_rate)
-        ema = None
-        if cfg.use_ema:
-            from repro.ml.nn.ema import ExponentialMovingAverage
-
-            ema = [
-                ExponentialMovingAverage(self.denoiser, cfg.ema_decay),
-                ExponentialMovingAverage(self.prompt_encoder, cfg.ema_decay),
-            ]
-        history = self._training_loop(
+        return self._training_loop(
             latents, prompts, optimizer, cfg.train_steps,
-            use_control=False, masks=None, verbose=verbose, tag="base",
-            ema=ema,
+            masks=None, verbose=verbose, tag="base",
         )
-        if ema is not None:
-            ema[0].copy_to(self.denoiser)
-            ema[1].copy_to(self.prompt_encoder)
-        return history
 
     def _train_controlnet(
         self,
@@ -436,7 +430,7 @@ class TextToTrafficPipeline:
                          lr=cfg.learning_rate)
         return self._training_loop(
             latents, prompts, optimizer, cfg.controlnet_steps,
-            use_control=True, masks=masks, verbose=verbose, tag="controlnet",
+            masks=masks, verbose=verbose, tag="controlnet",
         )
 
     def _training_loop(
@@ -445,14 +439,15 @@ class TextToTrafficPipeline:
         prompts: list[str],
         optimizer: Adam,
         steps: int,
-        use_control: bool,
         masks: np.ndarray | None,
         verbose: bool,
         tag: str,
-        ema: list | None = None,
         eager: bool = False,
     ) -> list[float]:
         """Run ``steps`` optimizer steps; returns the loss history.
+
+        ``masks`` (the per-flow structure masks) drive the ControlNet
+        branch; ``None`` trains without it.
 
         The compiled engine (:func:`repro.core.train.compile_training`)
         runs every phase it accepts and raises
@@ -488,12 +483,7 @@ class TextToTrafficPipeline:
                     self.denoiser,
                     self.prompt_encoder,
                     optimizer,
-                    controlnet=(
-                        self.controlnet
-                        if use_control and masks is not None
-                        else None
-                    ),
-                    ema=ema,
+                    controlnet=self.controlnet if masks is not None else None,
                 )
         if trainer is not None:
             # Steady-state batch-prep buffers for the compiled branch:
@@ -514,7 +504,7 @@ class TextToTrafficPipeline:
             )
             b_masks = (
                 np.empty((batch_size, masks.shape[1]))
-                if use_control and masks is not None else None
+                if masks is not None else None
             )
         for step in range(steps):
             idx = self._rng.integers(0, n, size=batch_size)
@@ -553,16 +543,13 @@ class TextToTrafficPipeline:
                 ids_table[rows, :width], mask_table[rows, :width]
             )
             controls = None
-            if use_control and masks is not None:
+            if masks is not None:
                 controls = self.controlnet(masks[idx])
             eps = self.denoiser(Tensor(x_t), t, cond, controls)
             loss = mse_loss(eps, noise)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            if ema is not None:
-                ema[0].update(self.denoiser)
-                ema[1].update(self.prompt_encoder)
             history.append(float(loss.data))
             if verbose and (step + 1) % 200 == 0:
                 recent = float(np.mean(history[-200:]))
@@ -763,30 +750,6 @@ class TextToTrafficPipeline:
             label=class_name,
         )
 
-    def _generate_chunk(
-        self,
-        class_name: str,
-        count: int,
-        rng: np.random.Generator,
-        opts: dict,
-    ) -> GenerationResult:
-        """One sharded stream chunk: sample -> decode -> flows only
-        (shared by the in-process reference and the workers)."""
-        latents = self.sample_latents(
-            class_name, count, steps=opts["steps"],
-            use_control=opts["use_control"],
-            guidance_weight=opts["guidance_weight"], rng=rng,
-            dtype=opts["dtype"],
-        )
-        flows = self._finalize_latents(
-            latents, class_name, hard_guidance=opts["hard_guidance"],
-            state_repair=opts["state_repair"], rng=rng,
-        ).flows
-        if isinstance(flows, FlowBatch):
-            flows = flows.without_matrices()
-        return GenerationResult(flows=flows, matrices=None, continuous=None,
-                                gaps=None, label=class_name)
-
     def generate_stream(
         self,
         class_name: str,
@@ -856,14 +819,6 @@ class TextToTrafficPipeline:
             chunk = 4 * self.config.generation_batch
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
-        opts = {
-            "steps": steps,
-            "use_control": use_control,
-            "hard_guidance": hard_guidance,
-            "guidance_weight": guidance_weight,
-            "state_repair": state_repair,
-            "dtype": dtype,
-        }
         if workers is not None:
             if workers < 1:
                 raise ValueError("workers must be >= 1")
@@ -875,22 +830,21 @@ class TextToTrafficPipeline:
             yield from self._generate_stream_sharded(
                 class_name, n, chunk, workers,
                 self.config.seed if seed is None else seed,
-                shard_dir, opts,
+                shard_dir, steps=steps, use_control=use_control,
+                hard_guidance=hard_guidance, guidance_weight=guidance_weight,
+                state_repair=state_repair, dtype=dtype,
             )
             return
         rng = rng or self._rng
         remaining = n
         while remaining > 0:
             m = min(chunk, remaining)
-            latents = self.sample_latents(
+            result = self.generate_raw(
                 class_name, m, steps=steps, use_control=use_control,
-                guidance_weight=guidance_weight, rng=rng, dtype=dtype,
+                hard_guidance=hard_guidance, guidance_weight=guidance_weight,
+                state_repair=state_repair, rng=rng, dtype=dtype,
             )
             perf.incr("pipeline.stream_chunks")
-            result = self._finalize_latents(
-                latents, class_name, hard_guidance=hard_guidance,
-                state_repair=state_repair, rng=rng,
-            )
             yield result
             remaining -= m
 
@@ -921,15 +875,16 @@ class TextToTrafficPipeline:
         workers: int,
         seed: int,
         shard_dir: str | None,
-        opts: dict,
+        **options,
     ):
         counts = [min(chunk, n - start) for start in range(0, n, chunk)]
         if workers == 1:
             # In-process reference: same per-chunk RNG scheme, no pool.
             for index, count in enumerate(counts):
-                result = self._generate_chunk(
-                    class_name, count, _shard_chunk_rng(seed, index), opts
-                )
+                result = _flows_only(self.generate_raw(
+                    class_name, count, rng=_shard_chunk_rng(seed, index),
+                    **options,
+                ))
                 perf.incr("pipeline.stream_chunks")
                 perf.incr("pipeline.shard_chunks")
                 yield result
@@ -947,7 +902,7 @@ class TextToTrafficPipeline:
         def _submit(index: int) -> None:
             futures[index] = executor.submit(
                 _shard_chunk_worker, archive, class_name, counts[index],
-                seed, index, opts,
+                seed, index, **options,
             )
 
         try:
@@ -1109,7 +1064,7 @@ class TextToTrafficPipeline:
         # compile_training rejects adapter trees: LoRA trains on the tape.
         return self._training_loop(
             latents, prompts, optimizer, steps,
-            use_control=False, masks=None, verbose=verbose, tag="lora",
+            masks=None, verbose=verbose, tag="lora",
             eager=True,
         )
 

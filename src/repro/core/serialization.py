@@ -107,6 +107,25 @@ def pipeline_state_digest(pipeline: TextToTrafficPipeline) -> str:
     return h.hexdigest()[:32]
 
 
+def _write_atomic(path: Path, write) -> None:
+    """Create ``path`` by calling ``write(file)`` on a temp file beside it.
+
+    The temp file replaces ``path`` only once ``write`` returns, so
+    concurrent readers (and writers) never observe a partial archive;
+    on any error it is removed and the error propagates.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def shard_archive_path(cache_dir: str | Path, digest: str) -> Path:
     """The canonical archive path for a pipeline-state ``digest``.
 
@@ -125,20 +144,9 @@ def import_pipeline_archive(src: str | Path, cache_dir: str | Path) -> Path:
     """
     src = Path(src)
     digest = pipeline_state_digest(load_pipeline(src))
-    cache_dir = Path(cache_dir)
     dest = shard_archive_path(cache_dir, digest)
-    if dest.exists():
-        return dest
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(src.read_bytes())
-        os.replace(tmp, dest)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    if not dest.exists():
+        _write_atomic(dest, lambda f: f.write(src.read_bytes()))
     return dest
 
 
@@ -152,27 +160,22 @@ def ensure_pipeline_archive(
     Writes are atomic (temp file + ``os.replace``) and idempotent: a
     pipeline whose archive already exists costs one digest pass and no IO.
     """
-    cache_dir = Path(cache_dir)
     path = shard_archive_path(cache_dir, pipeline_state_digest(pipeline))
     if path.exists():
         perf.incr("pipeline.shard_archive_hit")
         return path
     perf.incr("pipeline.shard_archive_write")
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            save_pipeline(pipeline, f)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, lambda f: save_pipeline(pipeline, f))
     return path
 
 
 #: archive key prefixes :func:`load_pipeline` reads, besides ``meta_json``
 _ARCHIVE_PREFIXES = ("codec.", "denoiser.", "prompt.", "controlnet.", "mask.")
+
+#: config keys of older archives that no longer configure anything: the
+#: base-weight EMA was copied into the denoiser before such an archive
+#: was saved, so the stored weights already are the ones to sample from
+_RETIRED_CONFIG_KEYS = ("use_ema", "ema_decay")
 
 
 def load_pipeline(path: str | Path) -> TextToTrafficPipeline:
@@ -181,6 +184,8 @@ def load_pipeline(path: str | Path) -> TextToTrafficPipeline:
     Only the keys the format names are read; any other member (older
     shard archives hold float32 copies of the weights) is never
     decompressed, so such an archive loads as the plain archive would.
+    Retired config keys of older archives are dropped; any other unknown
+    config key is an error.
     """
     with np.load(path) as archive:
         arrays = {
@@ -192,7 +197,10 @@ def load_pipeline(path: str | Path) -> TextToTrafficPipeline:
         raise ValueError(
             f"unsupported pipeline archive version {meta.get('format_version')}"
         )
-    config = PipelineConfig(**meta["config"])
+    config = PipelineConfig(**{
+        key: value for key, value in meta["config"].items()
+        if key not in _RETIRED_CONFIG_KEYS
+    })
     pipeline = TextToTrafficPipeline(config)
 
     # Codec.
@@ -329,16 +337,7 @@ def fit_or_load(
     pipeline = TextToTrafficPipeline(config)
     pipeline.fit(flows, verbose=verbose)
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                save_pipeline(pipeline, f)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomic(path, lambda f: save_pipeline(pipeline, f))
     pipeline._rng = _post_fit_rng(config)
     return pipeline
 
@@ -471,16 +470,7 @@ def fit_forest_or_load(
         perf.incr("forest.cache_miss")
     forest.fit(X, y)
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                save_forest(forest, f)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomic(path, lambda f: save_forest(forest, f))
     return forest
 
 

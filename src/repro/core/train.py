@@ -16,12 +16,11 @@ every gradient, and a per-parameter Python loop in the optimizer.
   :class:`~repro.core.infer.WorkspacePool` — steady-state steps perform
   **zero** pool allocations (counter-pinned by
   ``tests/test_train_compiled.py``).
-* **Packed parameters** — every trained parameter, gradient, Adam
-  moment and EMA shadow lives in one contiguous float64 pack;
-  weight-gradient GEMMs write straight into pack views through
-  ``np.matmul(..., out=)``, and the Adam + EMA updates are single fused
-  in-place passes over the flat packs — no per-parameter Python loop, no
-  temporaries.
+* **Packed parameters** — every trained parameter, gradient and Adam
+  moment lives in one contiguous float64 pack; weight-gradient GEMMs
+  write straight into pack views through ``np.matmul(..., out=)``, and
+  the Adam update is a single fused in-place pass over the flat packs —
+  no per-parameter Python loop, no temporaries.
 * **Frozen-base shortcut** — the ControlNet phase trains only the
   branch, so the plan propagates data-gradients through the frozen
   denoiser but skips every frozen weight-gradient GEMM the eager tape
@@ -32,8 +31,8 @@ eager tape's op sequence ufunc-for-ufunc — the same accumulation order
 into shared activations (reverse block order, first-touch copy), the
 same ``sum * (1/n)`` means, ``np.power(v + eps, -0.5)`` inverse std,
 ``(d_rs * -0.5) * v^-1.5`` power backward, scatter-add embedding
-gradient, and the bitwise in-place Adam/EMA recipes from
-:mod:`repro.ml.nn.optim` / :mod:`repro.ml.nn.ema`.  fp64 losses,
+gradient, and the bitwise in-place Adam recipe from
+:mod:`repro.ml.nn.optim`.  fp64 losses,
 post-fit weights and therefore the fitted-pipeline cache digest are
 **bitwise identical** to the eager loop; the golden-loss tests gate it.
 
@@ -61,8 +60,6 @@ from repro.core.denoiser import (
 )
 from repro.core.infer import CompileError, WorkspacePool
 from repro.core.prompt import PromptEncoder, pooling_weights
-from repro.ml.nn.autograd import Tensor
-from repro.ml.nn.ema import ExponentialMovingAverage
 from repro.ml.nn.modules import Embedding, LayerNorm, Linear
 from repro.ml.nn.optim import Adam
 
@@ -206,17 +203,6 @@ def _validate_controlnet(controlnet) -> None:
     _require_float64(controlnet, "controlnet")
 
 
-def _aligned_named_params(module, name: str) -> list[tuple[str, Tensor]]:
-    """named_parameters, verified to align with ``parameters()`` order."""
-    named = module.named_parameters()
-    if [id(p) for _, p in named] != [id(p) for p in module.parameters()]:
-        raise CompileError(
-            f"{name} has frozen parameters; EMA packing needs the "
-            f"named and trainable orders to coincide"
-        )
-    return named
-
-
 # -- fused kernels ----------------------------------------------------------
 #
 # Each kernel replicates the eager tape's op sequence exactly; in-place
@@ -336,14 +322,14 @@ class CompiledTrainer:
     """A fused forward+backward+update plan for one training phase.
 
     Built by :func:`compile_training`; one :meth:`step` call replaces the
-    eager ``forward -> mse -> zero_grad -> backward -> Adam.step
-    [-> EMA]`` sequence bitwise.  Construction rebinds the trained
-    parameters (and EMA shadows) to views of contiguous packs, so the
-    module, the optimizer and the trainer all observe the same memory.
+    eager ``forward -> mse -> zero_grad -> backward -> Adam.step``
+    sequence bitwise.  Construction rebinds the trained parameters to
+    views of contiguous packs, so the module, the optimizer and the
+    trainer all observe the same memory.
     """
 
     def __init__(self, denoiser, prompt_encoder, optimizer, controlnet,
-                 ema, mode: str):
+                 mode: str):
         self.mode = mode
         self._optimizer = optimizer
         self._pool = _TrainingPool()
@@ -353,8 +339,8 @@ class CompiledTrainer:
         self._n_blocks = denoiser.n_blocks
         self._cn = controlnet if mode == "controlnet" else None
 
-        # Flat packs: parameters P, gradients G, Adam moments M/V, two
-        # scratch lanes S1/S2, and (base mode with EMA) shadows E.
+        # Flat packs: parameters P, gradients G, Adam moments M/V and two
+        # scratch lanes S1/S2.
         params = optimizer.params
         sizes = [p.data.size for p in params]
         total = int(sum(sizes))
@@ -373,24 +359,6 @@ class CompiledTrainer:
             p.data = view
             grads[id(p)] = self._G[offset:offset + size].reshape(shape)
             offset += size
-
-        self._ema_segments = None
-        self._E = None
-        if ema is not None:
-            self._E = np.empty(total, dtype=np.float64)
-            self._ema_segments = []
-            offset = 0
-            for ema_obj, module in zip(
-                ema, (denoiser, prompt_encoder)
-            ):
-                start = offset
-                for name, p in _aligned_named_params(module, "ema module"):
-                    size = p.data.size
-                    seg = self._E[offset:offset + size].reshape(p.data.shape)
-                    seg[:] = ema_obj._shadow[name]
-                    ema_obj._shadow[name] = seg
-                    offset += size
-                self._ema_segments.append((ema_obj, slice(start, offset)))
 
         # Captured layers.  In controlnet mode the denoiser/prompt grad
         # views are absent (grads holds only branch params), so their
@@ -714,17 +682,12 @@ class CompiledTrainer:
         P, G = self._P, self._G
         M, V = self._M, self._V
         S1, S2 = self._S1, self._S2
-        grad = G
-        if opt.weight_decay:
-            np.multiply(P, opt.weight_decay, out=S2)
-            np.add(G, S2, out=S2)
-            grad = S2
         M *= b1
-        np.multiply(grad, 1 - b1, out=S1)
+        np.multiply(G, 1 - b1, out=S1)
         M += S1
         V *= b2
-        np.multiply(grad, 1 - b2, out=S1)
-        np.multiply(S1, grad, out=S1)
+        np.multiply(G, 1 - b2, out=S1)
+        np.multiply(S1, G, out=S1)
         V += S1
         np.divide(M, bias1, out=S2)             # m_hat
         np.divide(V, bias2, out=S1)             # v_hat
@@ -733,21 +696,6 @@ class CompiledTrainer:
         np.multiply(S2, opt.lr, out=S2)
         np.divide(S2, S1, out=S2)
         np.subtract(P, S2, out=P)
-
-        # ---- packed EMA ----------------------------------------------
-        if self._ema_segments is not None:
-            E = self._E
-            for ema_obj, sl in self._ema_segments:
-                perf.incr("ema.update")
-                ema_obj._updates += 1
-                decay = min(
-                    ema_obj.decay,
-                    (1 + ema_obj._updates) / (10 + ema_obj._updates),
-                )
-                seg = E[sl]
-                seg *= decay
-                np.multiply(P[sl], 1.0 - decay, out=S1[sl])
-                seg += S1[sl]
         return loss
 
 
@@ -756,17 +704,15 @@ def compile_training(
     prompt_encoder,
     optimizer,
     controlnet=None,
-    ema=None,
 ) -> CompiledTrainer:
     """Compile one training phase into a :class:`CompiledTrainer`.
 
     The optimizer's parameter list decides the phase: exactly the
-    denoiser + prompt-encoder parameters selects the **base** phase
-    (optionally with the pipeline's two-element ``ema`` list); exactly
-    the ControlNet branch parameters (with ``controlnet`` supplied)
+    denoiser + prompt-encoder parameters selects the **base** phase;
+    exactly the ControlNet branch parameters (with ``controlnet`` supplied)
     selects the **controlnet** phase, where the frozen base propagates
     data-gradients only.  Anything else — a LoRA-adapted tree, a warm
-    or non-Adam optimizer, frozen-parameter mixes — raises
+    optimizer or an ``Adam`` subclass, frozen-parameter mixes — raises
     :class:`CompileError`.
     """
     if type(optimizer) is not Adam:
@@ -785,22 +731,6 @@ def compile_training(
     ]
     if opt_ids == base_ids:
         mode = "base"
-        if ema is not None:
-            if len(ema) != 2 or any(
-                type(e) is not ExponentialMovingAverage for e in ema
-            ):
-                raise CompileError("expected the pipeline's two-EMA list")
-            for ema_obj, module in zip(ema, (denoiser, prompt_encoder)):
-                for name, p in _aligned_named_params(module, "ema module"):
-                    shadow = ema_obj._shadow.get(name)
-                    if (
-                        shadow is None
-                        or shadow.shape != p.data.shape
-                        or shadow.dtype != np.float64
-                    ):
-                        raise CompileError(
-                            f"EMA shadow mismatch for {name}"
-                        )
     elif controlnet is not None:
         _validate_controlnet(controlnet)
         if opt_ids != [id(p) for p in controlnet.parameters()]:
@@ -808,13 +738,11 @@ def compile_training(
                 "optimizer parameters match neither the base nor the "
                 "ControlNet phase"
             )
-        if ema is not None:
-            raise CompileError("EMA is not part of the ControlNet phase")
         mode = "controlnet"
     else:
         raise CompileError(
             "optimizer parameters do not match the base phase"
         )
     return CompiledTrainer(
-        denoiser, prompt_encoder, optimizer, controlnet, ema, mode
+        denoiser, prompt_encoder, optimizer, controlnet, mode
     )

@@ -318,5 +318,5 @@ def _full_finetune(
     optimizer = Adam(params, lr=pipeline.config.learning_rate)
     pipeline._training_loop(
         latents, [prompt] * len(flows), optimizer, steps,
-        use_control=False, masks=None, verbose=False, tag="full-ft",
+        masks=None, verbose=False, tag="full-ft",
     )

@@ -20,6 +20,13 @@ safe:
   the snapshot into its own registry, so ``--perf`` reports stay
   complete under ``--jobs``.
 
+Known slowdown: on a 2-vCPU host ``--jobs 2`` is slower than ``--jobs 1``
+(tiny preset: 169 s vs 130 s), because each worker's OpenBLAS thread
+pool oversubscribes the cores.  Pinning BLAS to one thread is no pure
+speed fix: it moves the few-shot "linear probe, pretrained encoder"
+accuracy from 0.270 to 0.405, so the workers' thread count is left as
+is until the foundation encoder's training changes (``ROADMAP.md``).
+
 Usage::
 
     python -m repro.experiments.runner --preset quick

@@ -1,4 +1,4 @@
-"""Minimal NumPy neural-network framework (autograd, modules, optimizers).
+"""Minimal NumPy neural-network framework (autograd, modules, Adam).
 
 Every trainable model in the repository — the latent-diffusion denoiser,
 ControlNet branch, LoRA adapters, and the GAN baselines — is built from
@@ -6,7 +6,7 @@ these pieces.  The autograd engine is finite-difference checked in the
 test suite.
 """
 
-from repro.ml.nn.autograd import Tensor, concat, embedding_lookup, where
+from repro.ml.nn.autograd import Tensor
 from repro.ml.nn.functional import bce_with_logits, mse_loss, softmax_cross_entropy
 from repro.ml.nn.modules import (
     Embedding,
@@ -14,21 +14,16 @@ from repro.ml.nn.modules import (
     LeakyReLU,
     Linear,
     Module,
-    ReLU,
     Sequential,
     SiLU,
     Tanh,
     ZeroLinear,
     mlp,
 )
-from repro.ml.nn.ema import ExponentialMovingAverage
-from repro.ml.nn.optim import SGD, Adam, CosineWarmupSchedule, Optimizer
+from repro.ml.nn.optim import Adam
 
 __all__ = [
     "Tensor",
-    "concat",
-    "embedding_lookup",
-    "where",
     "Module",
     "Linear",
     "ZeroLinear",
@@ -36,15 +31,10 @@ __all__ = [
     "LayerNorm",
     "Sequential",
     "SiLU",
-    "ReLU",
     "LeakyReLU",
     "Tanh",
     "mlp",
-    "Optimizer",
-    "SGD",
     "Adam",
-    "CosineWarmupSchedule",
-    "ExponentialMovingAverage",
     "mse_loss",
     "bce_with_logits",
     "softmax_cross_entropy",

@@ -342,15 +342,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, 0.0)
-
-        def backward(grad: Array) -> None:
-            self._accumulate(grad * mask)
-
-        return self._make(out_data, (self,), backward)
-
     def leaky_relu(self, slope: float = 0.2) -> "Tensor":
         mask = self.data > 0
         out_data = np.where(mask, self.data, slope * self.data)
@@ -369,25 +360,6 @@ class Tensor:
             self._accumulate(grad * (sig * (1.0 + self.data * (1.0 - sig))))
 
         return self._make(out_data, (self,), backward)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient routing."""
-    tensors = [Tensor._lift(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: Array) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * grad.ndim
-            index[axis if axis >= 0 else grad.ndim + axis] = slice(start, stop)
-            t._accumulate(grad[tuple(index)])
-
-    needs = any(t.requires_grad or t._parents for t in tensors)
-    if not needs:
-        return Tensor(out_data)
-    return Tensor(out_data, _backward=backward, _parents=tensors)
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:

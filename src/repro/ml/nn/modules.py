@@ -182,11 +182,6 @@ class SiLU(Module):
         return x.silu()
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
 class LeakyReLU(Module):
     def __init__(self, slope: float = 0.2):
         super().__init__()

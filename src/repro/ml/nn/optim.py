@@ -1,4 +1,4 @@
-"""Optimizers (SGD, Adam) and learning-rate schedules.
+"""The Adam optimizer.
 
 Updates run as in-place ufunc chains through per-shape scratch buffers:
 a step allocates nothing once the scratch pool is warm, and every chain
@@ -9,78 +9,33 @@ stay bitwise-identical — pinned by ``tests/test_optim_inplace.py``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.ml.nn.autograd import Tensor
 
 
-class Optimizer:
-    """Base optimizer over a fixed list of parameters."""
-
-    def __init__(self, params: list[Tensor], lr: float):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.params = list(params)
-        self.lr = lr
-        # shape -> scratch ndarrays shared by every same-shape parameter;
-        # filled lazily so construction stays allocation-free.
-        self._scratch: dict[tuple[int, ...], list[np.ndarray]] = {}
-
-    def _scratch_for(self, shape: tuple[int, ...], count: int) -> list[np.ndarray]:
-        bufs = self._scratch.get(shape)
-        if bufs is None:
-            bufs = self._scratch[shape] = []
-        while len(bufs) < count:
-            bufs.append(np.empty(shape, dtype=np.float64))
-        return bufs
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Tensor], lr: float = 1e-2,
-                 momentum: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            (s,) = self._scratch_for(p.data.shape, 1)
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                # p.data -= lr * v, with the product landing in scratch.
-                np.multiply(v, self.lr, out=s)
-            else:
-                np.multiply(p.grad, self.lr, out=s)
-            np.subtract(p.data, s, out=p.data)
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba, 2015) with bias correction."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(params, lr)
+                 eps: float = 1e-8):
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        self.params = list(params)
+        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+        # shape -> scratch ndarrays shared by every same-shape parameter;
+        # filled lazily so construction stays allocation-free.
+        self._scratch: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         self._t += 1
@@ -90,13 +45,15 @@ class Adam(Optimizer):
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            s1, s2 = self._scratch_for(p.data.shape, 2)
+            shape = p.data.shape
+            scratch = self._scratch.get(shape)
+            if scratch is None:
+                scratch = self._scratch[shape] = (
+                    np.empty(shape, dtype=np.float64),
+                    np.empty(shape, dtype=np.float64),
+                )
+            s1, s2 = scratch
             grad = p.grad
-            if self.weight_decay:
-                # grad + wd * p.data, staged through scratch.
-                np.multiply(p.data, self.weight_decay, out=s2)
-                np.add(grad, s2, out=s2)
-                grad = s2
             m *= b1
             np.multiply(grad, 1 - b1, out=s1)  # (1 - b1) * grad
             m += s1
@@ -112,43 +69,3 @@ class Adam(Optimizer):
             np.multiply(s2, self.lr, out=s2)
             np.divide(s2, s1, out=s2)
             np.subtract(p.data, s2, out=p.data)
-
-
-class CosineWarmupSchedule:
-    """Linear warmup followed by cosine decay of an optimizer's lr.
-
-    Call :meth:`step` once per training step *before* ``optimizer.step``.
-    The schedule owns the optimizer's ``lr`` attribute; the configured
-    peak is the optimizer's lr at construction time.
-    """
-
-    def __init__(self, optimizer: Optimizer, total_steps: int,
-                 warmup_steps: int = 0, floor: float = 0.0):
-        if total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if not 0 <= warmup_steps <= total_steps:
-            raise ValueError("warmup_steps must be in [0, total_steps]")
-        if floor < 0:
-            raise ValueError("floor must be >= 0")
-        self.optimizer = optimizer
-        self.total_steps = total_steps
-        self.warmup_steps = warmup_steps
-        self.floor = floor
-        self.peak = optimizer.lr
-        self._step = 0
-
-    def lr_at(self, step: int) -> float:
-        """The learning rate the schedule assigns to ``step`` (0-based)."""
-        if self.warmup_steps and step < self.warmup_steps:
-            return self.peak * (step + 1) / self.warmup_steps
-        span = max(self.total_steps - self.warmup_steps, 1)
-        progress = min((step - self.warmup_steps) / span, 1.0)
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.floor + (self.peak - self.floor) * cosine
-
-    def step(self) -> float:
-        """Advance one step; returns the lr now installed."""
-        lr = self.lr_at(self._step)
-        self.optimizer.lr = lr
-        self._step += 1
-        return lr

@@ -11,10 +11,14 @@ render.
 Routes:
 
 * ``POST /generate`` — JSON body ``{"class": str, "count": int,
-  "request_id": int?, "model": str?, "steps": int?, "timeout": float?}``;
-  responds with a pcap body (``application/vnd.tcpdump.pcap``) plus
-  ``X-Repro-Request-Id`` / ``X-Repro-Flows`` / ``X-Repro-Packets``
-  headers.  429 when the queue is full, 504 on deadline, 404 for an
+  "request_id": int?, "model": str?, "steps": int?,
+  "guidance_weight": float?, "timeout": float?}``; responds with a pcap
+  body (``application/vnd.tcpdump.pcap``) plus ``X-Repro-Request-Id`` /
+  ``X-Repro-Flows`` / ``X-Repro-Packets`` headers.  400 for a malformed
+  body or a field out of range (``count`` above the service's
+  ``max_batch_flows``, ``steps < 1``, a negative or non-finite
+  ``guidance_weight``, a ``timeout`` that is not finite and > 0), 429
+  when the queue is full, 504 on deadline, 404 for an
   unknown class or model, 503 while draining, 408 (and the connection
   closes) when the body does not arrive within :data:`SOCKET_TIMEOUT`.
 * ``GET /healthz`` — 200 once a default model is resolvable, 503 before
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import threading
 from concurrent.futures import TimeoutError as FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -153,12 +158,16 @@ class _Handler(BaseHTTPRequestHandler):
             )
             timeout = payload.get("timeout")
             timeout = float(timeout) if timeout is not None else None
+            if timeout is not None and not (
+                math.isfinite(timeout) and timeout > 0
+            ):
+                raise ValueError(
+                    f"timeout must be finite and > 0, got {timeout}"
+                )
+            future = service.submit(request, timeout=timeout)
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             self._reply_json(400, {"error": f"bad request: {exc}"})
             return
-
-        try:
-            future = service.submit(request, timeout=timeout)
         except ServiceOverloaded as exc:
             self._reply_json(429, {"error": str(exc)})
             return

@@ -29,6 +29,7 @@ admission, serves everything already queued, then stops the dispatcher.
 from __future__ import annotations
 
 import itertools
+import math
 import queue
 import threading
 import time
@@ -95,6 +96,12 @@ class GenerateRequest:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.steps is not None and self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if self.guidance_weight is not None and not (
+            math.isfinite(self.guidance_weight) and self.guidance_weight >= 0
+        ):
+            raise ValueError("guidance_weight must be finite and >= 0")
 
     def group_key(self) -> tuple:
         """Requests with equal keys may share one coalesced forward."""
@@ -231,10 +238,17 @@ class GenerationService:
     ) -> Future:
         """Queue a request; the future resolves to a ``GenerationResult``.
 
-        Raises :class:`ServiceClosed` when draining and
+        Raises :class:`ValueError` for a request wider than
+        ``max_batch_flows`` (one request is never split across sampler
+        batches), :class:`ServiceClosed` when draining and
         :class:`ServiceOverloaded` when the bounded queue is full.
         ``timeout`` (or ``default_timeout``) is the queue-wait deadline.
         """
+        if request.count > self.max_batch_flows:
+            raise ValueError(
+                f"count {request.count} exceeds max_batch_flows "
+                f"{self.max_batch_flows}"
+            )
         if self._closed:
             perf.incr("serve.rejected_closed")
             raise ServiceClosed("service is draining")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.nn.autograd import Tensor, concat, embedding_lookup, where
+from repro.ml.nn.autograd import Tensor, embedding_lookup, where
 
 
 def numeric_grad(fn, tensor, index, eps=1e-6):
@@ -72,7 +72,7 @@ class TestElementwiseOps:
         check_gradient(lambda: (a ** 3).sum(), [a])
 
     @pytest.mark.parametrize("name", ["exp", "log", "tanh", "sigmoid",
-                                      "silu", "relu", "sqrt"])
+                                      "silu", "sqrt"])
     def test_unary_ops(self, rng, name):
         a = Tensor(rng.uniform(0.3, 2.0, size=(6,)), requires_grad=True)
         check_gradient(lambda: getattr(a, name)().sum(), [a])
@@ -132,11 +132,6 @@ class TestReductionsAndShape:
 
 
 class TestCompositeOps:
-    def test_concat(self, rng):
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        check_gradient(lambda: (concat([a, b], axis=1) ** 2).sum(), [a, b])
-
     def test_embedding_lookup_scatter(self, rng):
         table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         idx = np.array([1, 1, 4])

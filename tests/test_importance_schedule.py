@@ -1,11 +1,10 @@
-"""Tests for feature-importance folding and the cosine LR schedule."""
+"""Tests for feature-importance folding."""
 
 import numpy as np
 import pytest
 
 from repro.ml import RandomForest, fold_importances, nprint_features
 from repro.ml.features import overfit_bit_mask
-from repro.ml.nn import Adam, CosineWarmupSchedule, Tensor
 from repro.ml.split import encode_labels
 from repro.traffic.dataset import generate_app_flows
 
@@ -70,51 +69,3 @@ class TestFoldImportances:
         assert "Feature importance" in text
         assert "packet 0" in text
 
-
-class TestCosineWarmupSchedule:
-    def _opt(self, lr=1.0):
-        p = Tensor(np.zeros(1), requires_grad=True)
-        return Adam([p], lr=lr)
-
-    def test_validation(self):
-        opt = self._opt()
-        with pytest.raises(ValueError):
-            CosineWarmupSchedule(opt, total_steps=0)
-        with pytest.raises(ValueError):
-            CosineWarmupSchedule(opt, total_steps=10, warmup_steps=11)
-        with pytest.raises(ValueError):
-            CosineWarmupSchedule(opt, total_steps=10, floor=-1)
-
-    def test_warmup_ramps_linearly(self):
-        opt = self._opt(lr=2.0)
-        sched = CosineWarmupSchedule(opt, total_steps=100, warmup_steps=4)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs == pytest.approx([0.5, 1.0, 1.5, 2.0])
-
-    def test_decays_to_floor(self):
-        opt = self._opt(lr=1.0)
-        sched = CosineWarmupSchedule(opt, total_steps=50, floor=0.1)
-        last = None
-        for _ in range(50):
-            last = sched.step()
-        assert last == pytest.approx(0.1, abs=1e-2)
-
-    def test_monotone_after_warmup(self):
-        opt = self._opt()
-        sched = CosineWarmupSchedule(opt, total_steps=30, warmup_steps=5)
-        lrs = [sched.step() for _ in range(30)]
-        after = lrs[5:]
-        assert all(a >= b - 1e-12 for a, b in zip(after, after[1:]))
-
-    def test_installs_lr_on_optimizer(self):
-        opt = self._opt(lr=3.0)
-        sched = CosineWarmupSchedule(opt, total_steps=10, warmup_steps=2)
-        sched.step()
-        assert opt.lr == pytest.approx(1.5)
-
-    def test_clamps_past_total_steps(self):
-        opt = self._opt()
-        sched = CosineWarmupSchedule(opt, total_steps=5, floor=0.2)
-        for _ in range(20):
-            lr = sched.step()
-        assert lr == pytest.approx(0.2)

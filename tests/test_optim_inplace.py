@@ -1,13 +1,13 @@
-"""Bitwise parity and allocation tests for the in-place optimizers.
+"""Bitwise parity and allocation tests for the in-place Adam.
 
-``Adam.step`` / ``SGD.step`` now run as in-place ufunc chains through
-per-shape scratch buffers instead of building fresh temporaries for
-every parameter every step.  Two guarantees:
+``Adam.step`` runs as an in-place ufunc chain through per-shape scratch
+buffers instead of building fresh temporaries for every parameter every
+step.  Two guarantees:
 
-* **Parity** — each chain replicates the legacy allocating expressions
+* **Parity** — the chain replicates the legacy allocating expressions
   operation-for-operation (up to ufunc commutativity), so parameter
   trajectories are bitwise-identical to the pre-change optimizer,
-  reimplemented here as ``_legacy_adam_step`` / ``_legacy_sgd_step``.
+  reimplemented here as ``_legacy_adam_step``.
 * **Steady state allocates nothing** — after the first step the scratch
   pool is warm: later steps reuse the exact same buffers and the pool
   never grows.
@@ -19,9 +19,8 @@ gets a fresh array instead of having it clobbered.
 """
 
 import numpy as np
-import pytest
 
-from repro.ml.nn import SGD, Adam, Tensor
+from repro.ml.nn import Adam, Tensor
 
 
 def _params(seed, shapes=((7, 5), (5,), (3, 7), (1,))):
@@ -35,7 +34,7 @@ def _grads(rng, params):
     return [rng.standard_normal(p.data.shape) for p in params]
 
 
-def _legacy_adam_step(params, lr, betas, eps, weight_decay, m, v, t):
+def _legacy_adam_step(params, lr, betas, eps, m, v, t):
     """The pre-change allocating Adam update, expression-for-expression."""
     b1, b2 = betas
     bias1 = 1.0 - b1 ** t
@@ -44,8 +43,6 @@ def _legacy_adam_step(params, lr, betas, eps, weight_decay, m, v, t):
         if p.grad is None:
             continue
         grad = p.grad
-        if weight_decay:
-            grad = grad + weight_decay * p.data
         m[i] = b1 * m[i] + (1 - b1) * grad
         v[i] = b2 * v[i] + (1 - b2) * grad * grad
         m_hat = m[i] / bias1
@@ -53,24 +50,11 @@ def _legacy_adam_step(params, lr, betas, eps, weight_decay, m, v, t):
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def _legacy_sgd_step(params, lr, momentum, velocity):
-    """The pre-change allocating SGD update."""
-    for i, p in enumerate(params):
-        if p.grad is None:
-            continue
-        if momentum:
-            velocity[i] = momentum * velocity[i] + p.grad
-            p.data = p.data - lr * velocity[i]
-        else:
-            p.data = p.data - lr * p.grad
-
-
 class TestAdamParity:
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_trajectory_bitwise_equal(self, weight_decay):
+    def test_trajectory_bitwise_equal(self):
         fast = _params(0)
         slow = _params(0)
-        opt = Adam(fast, lr=3e-3, weight_decay=weight_decay)
+        opt = Adam(fast, lr=3e-3)
         m = [np.zeros_like(p.data) for p in slow]
         v = [np.zeros_like(p.data) for p in slow]
         rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
@@ -81,8 +65,7 @@ class TestAdamParity:
                 p.grad = g
             opt.step()
             _legacy_adam_step(
-                slow, opt.lr, (opt.beta1, opt.beta2), opt.eps,
-                weight_decay, m, v, t,
+                slow, opt.lr, (opt.beta1, opt.beta2), opt.eps, m, v, t,
             )
             for pf, ps in zip(fast, slow):
                 np.testing.assert_array_equal(pf.data, ps.data)
@@ -119,25 +102,6 @@ class TestAdamParity:
             shape: [id(b) for b in bufs]
             for shape, bufs in opt._scratch.items()
         } == snapshot
-
-
-class TestSGDParity:
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_trajectory_bitwise_equal(self, momentum):
-        fast = _params(5)
-        slow = _params(5)
-        opt = SGD(fast, lr=5e-2, momentum=momentum)
-        velocity = [np.zeros_like(p.data) for p in slow]
-        rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
-        for _ in range(25):
-            for p, g in zip(fast, _grads(rng_a, fast)):
-                p.grad = g
-            for p, g in zip(slow, _grads(rng_b, slow)):
-                p.grad = g
-            opt.step()
-            _legacy_sgd_step(slow, opt.lr, momentum, velocity)
-            for pf, ps in zip(fast, slow):
-                np.testing.assert_array_equal(pf.data, ps.data)
 
 
 class TestGradBufferReuse:

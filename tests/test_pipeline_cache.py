@@ -215,3 +215,26 @@ class TestSessionCacheDirPlumbing:
                        for name in names):
                     offenders.append(f"{path.relative_to(root)}:{node.lineno}")
         assert offenders == []
+
+    def test_every_nn_export_is_imported_by_the_library(self):
+        """``repro.ml.nn`` exports only what the library trains with.
+
+        Each name in ``repro.ml.nn.__all__`` is imported by some module
+        of ``repro`` outside ``repro/ml/nn``: an export nothing imports
+        is an option no model uses, kept only to be tested.
+        """
+        from repro.ml import nn
+
+        root = Path(repro.__file__).parent
+        imported = set()
+        for path in root.rglob("*.py"):
+            if path.is_relative_to(root / "ml" / "nn"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (
+                    isinstance(node, ast.ImportFrom) and node.level == 0
+                    and (node.module == "repro.ml.nn"
+                         or node.module.startswith("repro.ml.nn."))
+                ):
+                    imported.update(alias.name for alias in node.names)
+        assert sorted(set(nn.__all__) - imported) == []

@@ -1,5 +1,7 @@
 """Tests for pipeline save/load and traffic deblurring (§4 extensions)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,22 @@ from repro.core import (
     save_pipeline,
 )
 from repro.core.lora import inject_lora, merge_lora
+from repro.net.packet import render_flows
 from repro.nprint.decoder import read_field
 from repro.nprint.encoder import encode_flow, interarrival_channel
 from repro.nprint.fields import FIELDS, NPRINT_BITS
 from repro.traffic.dataset import generate_app_flows
+
+
+def _rewrite_meta(src, dest, edit):
+    """Copy the archive ``src`` to ``dest`` with ``edit(meta)`` applied."""
+    with np.load(src) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = json.loads(bytes(arrays["meta_json"]).decode())
+    edit(meta)
+    arrays["meta_json"] = np.frombuffer(
+        json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(dest, **arrays)
 
 
 @pytest.fixture(scope="module")
@@ -72,18 +86,40 @@ class TestSerialization:
         assert (tmp_path / "merged.npz").exists()
 
     def test_bad_version_rejected(self, fitted, tmp_path):
-        import json
-
         path = tmp_path / "pipeline.npz"
         save_pipeline(fitted, path)
-        with np.load(path) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        meta = json.loads(bytes(arrays["meta_json"]).decode())
-        meta["format_version"] = 999
-        arrays["meta_json"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        _rewrite_meta(path, path,
+                      lambda meta: meta.update(format_version=999))
         with pytest.raises(ValueError):
+            load_pipeline(path)
+
+    def test_retired_ema_config_keys_load_to_the_same_bytes(
+        self, fitted, tmp_path
+    ):
+        """Archives from before the EMA tier was removed still carry
+        ``use_ema``/``ema_decay`` in their config; their weights already
+        are the sampled ones, so they load and generate byte-identically."""
+        path = tmp_path / "pipeline.npz"
+        older = tmp_path / "older.npz"
+        save_pipeline(fitted, path)
+        _rewrite_meta(path, older, lambda meta: meta["config"].update(
+            use_ema=True, ema_decay=0.99))
+        a = load_pipeline(path).generate_raw(
+            "netflix", 3, rng=np.random.default_rng(42))
+        b = load_pipeline(older).generate_raw(
+            "netflix", 3, rng=np.random.default_rng(42))
+        assert np.array_equal(a.continuous, b.continuous)
+        datas_a, stamps_a = render_flows(a.flows)
+        datas_b, stamps_b = render_flows(b.flows)
+        assert list(datas_a) == list(datas_b)
+        assert np.array_equal(stamps_a, stamps_b)
+
+    def test_unknown_config_key_rejected(self, fitted, tmp_path):
+        path = tmp_path / "pipeline.npz"
+        save_pipeline(fitted, path)
+        _rewrite_meta(path, path,
+                      lambda meta: meta["config"].update(use_swa=True))
+        with pytest.raises(TypeError, match="use_swa"):
             load_pipeline(path)
 
 

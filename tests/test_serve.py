@@ -81,6 +81,10 @@ def _solo_bytes(pipeline, server_seed: int, request_id: int,
         pipeline._finalize_latents(latents, "netflix", rng=rng).flows)
 
 
+def _fields_id(fields: dict) -> str:
+    return ",".join(f"{key}={value}" for key, value in fields.items())
+
+
 def _service(fitted, **kwargs) -> GenerationService:
     kwargs.setdefault("server_seed", 7)
     kwargs.setdefault("max_wait", 0.05)
@@ -136,6 +140,28 @@ class TestServiceRoundtrip:
     def test_bad_count_rejected_at_construction(self):
         with pytest.raises(ValueError, match="count"):
             GenerateRequest(request_id=0, class_name="netflix", count=0)
+
+    @pytest.mark.parametrize("fields", [
+        {"steps": 0}, {"steps": -3},
+        {"guidance_weight": -1.0}, {"guidance_weight": float("nan")},
+        {"guidance_weight": float("inf")},
+    ], ids=_fields_id)
+    def test_bad_sampling_fields_rejected_at_construction(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            GenerateRequest(request_id=0, class_name="netflix", count=1,
+                            **fields)
+
+    def test_count_over_max_batch_flows_rejected_at_submit(self, fitted):
+        """One request is one sampler batch: a count above the fused
+        width would bypass ``max_batch_flows`` and its memory bound."""
+        service = _service(fitted, max_batch_flows=4)
+        try:
+            with pytest.raises(ValueError, match="max_batch_flows 4"):
+                service.submit(GenerateRequest(
+                    request_id=0, class_name="netflix", count=5))
+            assert service.pending() == 0
+        finally:
+            service.shutdown()
 
     def test_unknown_class_fails_only_its_requests(self, fitted):
         service = _service(fitted, autostart=False)
@@ -366,6 +392,22 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=30)
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("fields", [
+        {"count": 257},  # the server's max_batch_flows is 256
+        {"steps": 0}, {"steps": -3},
+        {"guidance_weight": -1.0}, {"guidance_weight": float("nan")},
+        {"timeout": -1}, {"timeout": 0}, {"timeout": float("nan")},
+        {"timeout": float("inf")},
+    ], ids=_fields_id)
+    def test_out_of_range_field_is_400(self, server, fields):
+        service, url = server
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(url, {"class": "netflix", "request_id": 3, **fields},
+                  timeout=30)
+        assert err.value.code == 400
+        assert next(iter(fields)) in json.loads(err.value.read())["error"]
+        assert service.pending() == 0
 
     @pytest.mark.parametrize("body", [b"[1]", b"3", b'"x"', b"null"])
     def test_non_object_json_is_400(self, server, body):

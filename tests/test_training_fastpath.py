@@ -45,8 +45,7 @@ def _flows():
 
 
 def _legacy_training_loop(
-    self, latents, prompts, optimizer, steps, use_control, masks,
-    verbose, tag, ema=None,
+    self, latents, prompts, optimizer, steps, masks, verbose, tag,
 ):
     """The pre-fast-path loop: per-row dropout draws, per-batch
     re-tokenisation through the string interface."""
@@ -65,16 +64,13 @@ def _legacy_training_loop(
         x_t, t, noise = self.diffusion.sample_training_batch(x0, self._rng)
         cond = self.prompt_encoder(batch_prompts)
         controls = None
-        if use_control and masks is not None:
+        if masks is not None:
             controls = self.controlnet(masks[idx])
         eps = self.denoiser(Tensor(x_t), t, cond, controls)
         loss = mse_loss(eps, noise)
         optimizer.zero_grad()
         loss.backward()
         optimizer.step()
-        if ema is not None:
-            ema[0].update(self.denoiser)
-            ema[1].update(self.prompt_encoder)
         history.append(float(loss.data))
     return history
 
