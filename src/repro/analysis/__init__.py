@@ -12,16 +12,11 @@ from repro.analysis.compare import (
     compare_generators,
     compare_traces,
 )
-from repro.analysis.summaries import (
-    FlowSummary,
-    TraceSummary,
-    throughput_series,
-)
+from repro.analysis.summaries import FlowSummary, TraceSummary
 
 __all__ = [
     "FlowSummary",
     "TraceSummary",
-    "throughput_series",
     "FidelityReport",
     "DistributionDistance",
     "compare_traces",

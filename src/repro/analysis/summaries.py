@@ -144,26 +144,3 @@ class TraceSummary:
             labels=labels,
         )
 
-
-def throughput_series(
-    flows: list[Flow], bin_seconds: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bytes-per-bin time series over a trace (for rate plots).
-
-    Returns ``(bin_start_times, bytes_per_bin)``; empty traces yield
-    empty arrays.
-    """
-    if bin_seconds <= 0:
-        raise ValueError("bin_seconds must be positive")
-    packets = [(p.timestamp, p.total_length)
-               for f in flows for p in f.packets]
-    if not packets:
-        return np.empty(0), np.empty(0)
-    times = np.array([t for t, _ in packets])
-    sizes = np.array([s for _, s in packets], dtype=float)
-    start = times.min()
-    bins = ((times - start) // bin_seconds).astype(int)
-    out = np.zeros(bins.max() + 1)
-    np.add.at(out, bins, sizes)
-    edges = start + np.arange(len(out)) * bin_seconds
-    return edges, out

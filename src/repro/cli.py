@@ -13,7 +13,9 @@ Subcommands::
 
 ``dataset`` writes labelled flows from the workload generator (labels are
 stored in a sidecar ``.labels`` file, one ``start_time label`` line per
-flow, since pcap itself carries no labels).
+flow, since pcap itself carries no labels).  ``fit``, ``render``, ``stats``
+and ``replay`` read pcap or pcapng captures; a malformed capture prints
+``error: <message>`` and exits 1.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 def _load_labelled_flows(path: str):
     from repro.net.flow import assemble_flows
-    from repro.net.pcap import read_pcap
+    from repro.net.pcapng import read_capture
 
-    flows = assemble_flows(read_pcap(path))
+    flows = assemble_flows(read_capture(path))
     labels_path = Path(path).with_suffix(".labels")
     if labels_path.exists():
         table = {}
@@ -171,10 +173,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
     from repro.imaging.colormap import ternary_to_rgb
     from repro.imaging.png import write_png
     from repro.net.flow import assemble_flows
-    from repro.net.pcap import read_pcap
+    from repro.net.pcapng import read_capture
     from repro.nprint.encoder import encode_flow
 
-    flows = assemble_flows(read_pcap(args.infile))
+    flows = assemble_flows(read_capture(args.infile))
     if not flows:
         print("no flows in capture", file=sys.stderr)
         return 1
@@ -189,9 +191,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.net.flow import assemble_flows
     from repro.net.ipaddr import ip_to_str
-    from repro.net.pcap import read_pcap
+    from repro.net.pcapng import read_capture
 
-    packets = read_pcap(args.infile)
+    packets = read_capture(args.infile)
     flows = assemble_flows(packets)
     protos: dict[int, int] = {}
     for p in packets:
@@ -209,10 +211,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.net.pcap import read_pcap
+    from repro.net.pcapng import read_capture
     from repro.net.replay import ReplayEngine
 
-    packets = read_pcap(args.infile)
+    packets = read_capture(args.infile)
     report = ReplayEngine().replay(packets)
     print(f"packets: {report.total_packets}   "
           f"flagged: {report.flagged_packets}   "
@@ -303,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_dataset)
 
-    p = sub.add_parser("fit", help="fine-tune the pipeline on a capture")
+    p = sub.add_parser("fit", help="fine-tune the pipeline on a capture "
+                                   "(pcap or pcapng)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--max-packets", type=int, default=16)
@@ -341,18 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print stage timers and counters afterwards")
     p.set_defaults(fn=_cmd_generate)
 
-    p = sub.add_parser("render", help="render a flow as an nprint image")
+    p = sub.add_parser("render", help="render a flow of a pcap or pcapng "
+                                      "capture as an nprint image")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--flow-index", type=int, default=0)
     p.add_argument("--max-packets", type=int, default=64)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_render)
 
-    p = sub.add_parser("stats", help="summarise a capture")
+    p = sub.add_parser("stats", help="summarise a pcap or pcapng capture")
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(fn=_cmd_stats)
 
-    p = sub.add_parser("replay", help="replay a capture through stateful NFs")
+    p = sub.add_parser("replay", help="replay a pcap or pcapng capture "
+                                      "through stateful NFs")
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(fn=_cmd_replay)
 
@@ -388,8 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.net.pcap import PcapError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except PcapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from repro.core.autoencoder import LatentCodec
 from repro.core.controlnet import (
     ControlNetBranch,
     apply_structure_guidance,
-    protocol_mask,
     structure_mask,
 )
 from repro.core.ddim import DDIMSampler, ddim_timesteps
@@ -34,7 +33,7 @@ from repro.core.postprocess import (
     repair_matrix,
 )
 from repro.core.prompt import PromptCodebook, PromptEncoder, Vocabulary
-from repro.core.schedule import NoiseSchedule, cosine_betas, linear_betas
+from repro.core.schedule import NoiseSchedule, cosine_betas
 from repro.core.staterepair import repair_flow_state, repair_flows_state
 from repro.core.inpaint import DeblurResult, TrafficDeblurrer, field_mask
 from repro.core.serialization import load_pipeline, save_pipeline
@@ -43,7 +42,6 @@ from repro.core.anomaly import AnomalyReport, AnomalyScorer
 
 __all__ = [
     "NoiseSchedule",
-    "linear_betas",
     "cosine_betas",
     "GaussianDiffusion",
     "DDIMSampler",
@@ -57,7 +55,6 @@ __all__ = [
     "LatentCodec",
     "ControlNetBranch",
     "structure_mask",
-    "protocol_mask",
     "apply_structure_guidance",
     "LoRALinear",
     "inject_lora",

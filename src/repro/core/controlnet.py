@@ -47,22 +47,6 @@ def structure_mask(matrix: np.ndarray) -> np.ndarray:
     return (rows != VACANT).mean(axis=0)
 
 
-def protocol_mask(proto: str, occupancy: float = 1.0) -> np.ndarray:
-    """Canonical structure mask for a pure-``proto`` flow ('tcp'/'udp'/'icmp').
-
-    Marks the IPv4 region and the named transport region occupied; used as
-    the one-shot control when no reference flow is supplied.
-    """
-    if proto not in ("tcp", "udp", "icmp"):
-        raise ValueError(f"unknown protocol {proto!r}")
-    mask = np.zeros(NPRINT_BITS)
-    ipv4 = REGION_SLICES["ipv4"]
-    mask[ipv4.start : ipv4.stop] = occupancy
-    region = REGION_SLICES[proto]
-    mask[region.start : region.stop] = occupancy
-    return mask
-
-
 class ControlNetBranch(Module):
     """Encode a control mask into per-block injections for the denoiser.
 

@@ -3,18 +3,19 @@
 §4 of the paper flags "generative speed" — the multi-step sampling
 procedure of diffusion models — as an open challenge for high-throughput
 trace generation.  DDIM is the canonical mitigation: a deterministic
-(eta = 0) or partially stochastic sampler over a strided subsequence of
-the training timesteps, trading steps for fidelity.  The step-count sweep
+(eta = 0) sampler over a strided subsequence of the training timesteps,
+trading steps for fidelity.  The step-count sweep
 in ``benchmarks/test_bench_speed.py`` regenerates that trade-off curve.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.core.ddpm import EpsModel, GaussianDiffusion
+
+#: bound on the predicted x0 at every DDIM step
+CLIP_X0 = 3.0
 
 
 def ddim_timesteps(train_steps: int, sample_steps: int) -> np.ndarray:
@@ -26,13 +27,10 @@ def ddim_timesteps(train_steps: int, sample_steps: int) -> np.ndarray:
 
 
 class DDIMSampler:
-    """Strided deterministic sampler sharing a trained DDPM's schedule."""
+    """Strided deterministic (eta = 0) sampler sharing a trained DDPM's schedule."""
 
-    def __init__(self, diffusion: GaussianDiffusion, eta: float = 0.0):
-        if eta < 0:
-            raise ValueError("eta must be >= 0")
+    def __init__(self, diffusion: GaussianDiffusion):
         self.diffusion = diffusion
-        self.eta = eta
 
     def sample(
         self,
@@ -40,8 +38,6 @@ class DDIMSampler:
         shape: tuple[int, ...],
         rng: np.random.Generator,
         steps: int = 50,
-        clip_x0: float | None = 3.0,
-        callback: Callable[[int, np.ndarray], None] | None = None,
         dtype: np.dtype | None = None,
     ) -> np.ndarray:
         """Generate samples with ``steps`` network evaluations.
@@ -57,25 +53,14 @@ class DDIMSampler:
         # strided timesteps — hoist them out of the (batched, repeated)
         # step loop.  Python floats keep the float64 math bit-identical
         # and, under NEP 50, do not promote a float32 trajectory.
-        coeffs: list[tuple[float, float, float]] = []
+        coeffs: list[tuple[float, float]] = []
         for i, t in enumerate(ts):
             prev_t = ts[i + 1] if i + 1 < len(ts) else -1
             alpha_bar_prev = (
                 float(schedule.alpha_bars[prev_t]) if prev_t >= 0 else 1.0
             )
-            alpha_bar = float(schedule.alpha_bars[t])
-            sigma = float(
-                self.eta
-                * np.sqrt(
-                    (1 - alpha_bar_prev)
-                    / (1 - alpha_bar)
-                    * (1 - alpha_bar / alpha_bar_prev)
-                )
-            )
-            dir_coeff = float(
-                np.sqrt(np.maximum(1 - alpha_bar_prev - sigma**2, 0.0))
-            )
-            coeffs.append((float(np.sqrt(alpha_bar_prev)), dir_coeff, sigma))
+            coeffs.append((float(np.sqrt(alpha_bar_prev)),
+                           float(np.sqrt(1 - alpha_bar_prev))))
         x = rng.standard_normal(shape)
         if dtype is not None:
             x = x.astype(dtype, copy=False)
@@ -86,17 +71,10 @@ class DDIMSampler:
             t_vec.fill(t)
             eps = eps_model(x, t_vec)
             x0_hat = self.diffusion.predict_x0(x, t_vec, eps)
-            if clip_x0 is not None:
-                x0_hat = np.clip(x0_hat, -clip_x0, clip_x0)
-            x0_coeff, dir_coeff, sigma = coeffs[i]
+            x0_hat = np.clip(x0_hat, -CLIP_X0, CLIP_X0)
+            x0_coeff, dir_coeff = coeffs[i]
             x = x0_coeff * x0_hat + dir_coeff * eps
-            # The noise draw is unconditional to keep the RNG stream (and
-            # eta=0 trajectories) identical across configurations; adding
-            # sigma * noise with sigma == 0 is a bitwise no-op, so it is
-            # skipped instead of materialised.
-            noise = rng.standard_normal(shape)
-            if sigma != 0.0:
-                x = x + sigma * noise.astype(x.dtype, copy=False)
-            if callback is not None:
-                callback(int(t), x)
+            # One discarded full-batch draw per step keeps the RNG stream
+            # that the pinned output bytes were generated with.
+            rng.standard_normal(shape)
         return x

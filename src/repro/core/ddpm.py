@@ -1,8 +1,9 @@
-"""Gaussian diffusion: forward noising, training objective, ancestral sampling.
+"""Gaussian diffusion: forward noising, x0 prediction, training objective.
 
 Model-agnostic DDPM machinery (Ho et al., 2020).  The epsilon-model is any
 callable ``eps(x_t, t) -> eps_hat`` over NumPy arrays; the trainable
-wrapper lives in :mod:`repro.core.pipeline`.
+wrapper lives in :mod:`repro.core.pipeline` and the sampler in
+:mod:`repro.core.ddim`.
 """
 
 from __future__ import annotations
@@ -81,51 +82,6 @@ class GaussianDiffusion:
             -1, *([1] * (x_t.ndim - 1))
         ).astype(x_t.dtype, copy=False)
         return (x_t - sqrt_1mab * eps) / sqrt_ab
-
-    # -- reverse process --------------------------------------------------------
-    def p_sample_step(
-        self,
-        eps_model: EpsModel,
-        x_t: np.ndarray,
-        t: int,
-        rng: np.random.Generator,
-        clip_x0: float | None = 3.0,
-    ) -> np.ndarray:
-        """One ancestral sampling step x_t -> x_{t-1}."""
-        batch = x_t.shape[0]
-        t_vec = np.full(batch, t, dtype=np.int64)
-        eps = eps_model(x_t, t_vec)
-        x0_hat = self.predict_x0(x_t, t_vec, eps)
-        if clip_x0 is not None:
-            x0_hat = np.clip(x0_hat, -clip_x0, clip_x0)
-        alpha_bar = self.schedule.alpha_bars[t]
-        alpha_bar_prev = self.schedule.alpha_bars[t - 1] if t > 0 else 1.0
-        alpha = self.schedule.alphas[t]
-        beta = self.schedule.betas[t]
-        # Posterior mean in terms of x0_hat and x_t (Ho et al., eq. 7).
-        coef_x0 = np.sqrt(alpha_bar_prev) * beta / (1.0 - alpha_bar)
-        coef_xt = np.sqrt(alpha) * (1.0 - alpha_bar_prev) / (1.0 - alpha_bar)
-        mean = coef_x0 * x0_hat + coef_xt * x_t
-        if t == 0:
-            return mean
-        var = self.schedule.posterior_variance[t]
-        return mean + np.sqrt(var) * rng.standard_normal(x_t.shape)
-
-    def sample(
-        self,
-        eps_model: EpsModel,
-        shape: tuple[int, ...],
-        rng: np.random.Generator,
-        clip_x0: float | None = 3.0,
-        callback: Callable[[int, np.ndarray], None] | None = None,
-    ) -> np.ndarray:
-        """Full T-step ancestral sampling from pure noise."""
-        x = rng.standard_normal(shape)
-        for t in reversed(range(self.timesteps)):
-            x = self.p_sample_step(eps_model, x, t, rng, clip_x0)
-            if callback is not None:
-                callback(t, x)
-        return x
 
     # -- training -------------------------------------------------------------
     def sample_training_batch(

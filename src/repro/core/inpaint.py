@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.ddim import ddim_timesteps
-from repro.core.pipeline import TextToTrafficPipeline
+from repro.core.ddim import CLIP_X0, ddim_timesteps
+from repro.core.pipeline import TextToTrafficPipeline, _sample_steps
 from repro.core.postprocess import gaps_to_channel, quantize_matrix
 from repro.nprint.fields import FIELDS, NPRINT_BITS
 
@@ -86,7 +86,7 @@ class TrafficDeblurrer:
         if missing.shape != matrix.shape:
             raise ValueError("mask/matrix shape mismatch")
         rng = rng or np.random.default_rng()
-        steps = steps or cfg.ddim_steps
+        steps = _sample_steps(cfg, steps)
 
         # Known data vector (gaps channel is always treated as observed).
         if gaps is None:
@@ -114,7 +114,7 @@ class TrafficDeblurrer:
             t_vec = np.array([t])
             eps = eps_model(z, t_vec)
             z0_hat = pipe.diffusion.predict_x0(z, t_vec, eps)
-            z0_hat = np.clip(z0_hat, -3.0, 3.0)
+            z0_hat = np.clip(z0_hat, -CLIP_X0, CLIP_X0)
             # Project onto the observation: decode, clamp known bits,
             # re-encode (exact for a linear codec).
             x0_vec = pipe.codec.decode(z0_hat)[0]

@@ -153,8 +153,8 @@ def _flows_only(result: "GenerationResult") -> "GenerationResult":
     flows = result.flows
     if isinstance(flows, FlowBatch):
         flows = flows.without_matrices()
-    return GenerationResult(flows=flows, matrices=None, continuous=None,
-                            gaps=None, label=result.label)
+    return GenerationResult(flows=flows, matrices=None, gaps=None,
+                            label=result.label)
 
 
 def _shard_chunk_worker(
@@ -196,7 +196,6 @@ class PipelineConfig:
     cond_dim: int = 64
     time_dim: int = 64
     timesteps: int = 400
-    schedule: str = "cosine"  # "cosine" or "linear"
     train_steps: int = 1500
     batch_size: int = 64
     learning_rate: float = 1e-3
@@ -207,12 +206,19 @@ class PipelineConfig:
     generation_batch: int = 256
     seed: int = 0
 
-    def make_schedule(self) -> NoiseSchedule:
-        if self.schedule == "cosine":
-            return NoiseSchedule.cosine(self.timesteps)
-        if self.schedule == "linear":
-            return NoiseSchedule.linear(self.timesteps)
-        raise ValueError(f"unknown schedule {self.schedule!r}")
+
+def _sample_steps(cfg: PipelineConfig, steps: int | None) -> int:
+    """The DDIM step count of one sampling call (default ``cfg.ddim_steps``).
+
+    Raises ``ValueError`` unless ``1 <= steps <= cfg.timesteps``.
+    """
+    steps = cfg.ddim_steps if steps is None else steps
+    if not 1 <= steps <= cfg.timesteps:
+        raise ValueError(
+            f"steps must be in [1, {cfg.timesteps}] (the model's "
+            f"timesteps), got {steps}"
+        )
+    return steps
 
 
 @dataclass
@@ -232,7 +238,6 @@ class GenerationResult:
     #: ``(n, P, 1088)`` int8 ternary-quantised, structure-repaired
     #: matrices — the arrays the flows were decoded from, not a copy
     matrices: np.ndarray | None
-    continuous: np.ndarray | None
     gaps: np.ndarray | None
     label: str
 
@@ -244,7 +249,8 @@ class TextToTrafficPipeline:
         self.config = config or PipelineConfig()
         self._rng = np.random.default_rng(self.config.seed)
         self.codec = LatentCodec(self.config.latent_dim)
-        self.diffusion = GaussianDiffusion(self.config.make_schedule())
+        self.diffusion = GaussianDiffusion(
+            NoiseSchedule.cosine(self.config.timesteps))
         self.codebook: PromptCodebook | None = None
         self.vocab = Vocabulary()
         self.vocab.add(NULL_PROMPT)
@@ -648,7 +654,7 @@ class TextToTrafficPipeline:
             raise ValueError("n must be >= 1")
         cfg = self.config
         rng = rng or self._rng
-        steps = steps or cfg.ddim_steps
+        steps = _sample_steps(cfg, steps)
         weight = cfg.guidance_weight if guidance_weight is None else guidance_weight
         prompt = self.codebook.prompt_for(class_name)
         mask = self.class_masks.get(class_name) if use_control else None
@@ -745,7 +751,6 @@ class TextToTrafficPipeline:
         return GenerationResult(
             flows=flows,
             matrices=batch.matrices,
-            continuous=continuous,
             gaps=gaps,
             label=class_name,
         )
@@ -808,7 +813,7 @@ class TextToTrafficPipeline:
         explicit ``rng`` is an error in sharded mode (a shared generator
         cannot be split deterministically across processes).  Sharded
         chunks carry flows only (wire records, stamps and counts): their
-        ``matrices``, ``continuous`` and ``gaps`` are None.
+        ``matrices`` and ``gaps`` are None.
         """
         self._require_fitted()
         if class_name not in self.class_masks:
@@ -963,7 +968,7 @@ class TextToTrafficPipeline:
         if any(count < 1 for count in counts):
             raise ValueError("every part count must be >= 1")
         cfg = self.config
-        steps = steps or cfg.ddim_steps
+        steps = _sample_steps(cfg, steps)
         weight = (
             cfg.guidance_weight if guidance_weight is None
             else guidance_weight
@@ -997,7 +1002,6 @@ class TextToTrafficPipeline:
             results.append(GenerationResult(
                 flows=flows,
                 matrices=whole.matrices[part],
-                continuous=whole.continuous[part],
                 gaps=whole.gaps[part],
                 label=class_name,
             ))

@@ -1,7 +1,7 @@
-"""Noise schedules for the diffusion process.
+"""The noise schedule of the diffusion process.
 
-Linear (Ho et al., 2020) and cosine (Nichol & Dhariwal, 2021) beta
-schedules, with every derived quantity the samplers need precomputed.
+The cosine beta schedule (Nichol & Dhariwal, 2021), with every derived
+quantity training and the sampler need precomputed.
 """
 
 from __future__ import annotations
@@ -9,14 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def linear_betas(timesteps: int, beta_start: float = 1e-4,
-                 beta_end: float = 0.02) -> np.ndarray:
-    """The original DDPM linear schedule."""
-    if timesteps < 1:
-        raise ValueError("timesteps must be >= 1")
-    return np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
 
 
 def cosine_betas(timesteps: int, s: float = 0.008) -> np.ndarray:
@@ -39,7 +31,6 @@ class NoiseSchedule:
     alpha_bars: np.ndarray = field(init=False)
     sqrt_alpha_bars: np.ndarray = field(init=False)
     sqrt_one_minus_alpha_bars: np.ndarray = field(init=False)
-    posterior_variance: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         betas = np.asarray(self.betas, dtype=np.float64)
@@ -52,17 +43,10 @@ class NoiseSchedule:
         self.alpha_bars = np.cumprod(self.alphas)
         self.sqrt_alpha_bars = np.sqrt(self.alpha_bars)
         self.sqrt_one_minus_alpha_bars = np.sqrt(1.0 - self.alpha_bars)
-        prev = np.concatenate([[1.0], self.alpha_bars[:-1]])
-        self.posterior_variance = betas * (1.0 - prev) / (1.0 - self.alpha_bars)
 
     @property
     def timesteps(self) -> int:
         return len(self.betas)
-
-    @classmethod
-    def linear(cls, timesteps: int = 1000, beta_start: float = 1e-4,
-               beta_end: float = 0.02) -> "NoiseSchedule":
-        return cls(linear_betas(timesteps, beta_start, beta_end))
 
     @classmethod
     def cosine(cls, timesteps: int = 1000, s: float = 0.008) -> "NoiseSchedule":

@@ -174,8 +174,9 @@ _ARCHIVE_PREFIXES = ("codec.", "denoiser.", "prompt.", "controlnet.", "mask.")
 
 #: config keys of older archives that no longer configure anything: the
 #: base-weight EMA was copied into the denoiser before such an archive
-#: was saved, so the stored weights already are the ones to sample from
-_RETIRED_CONFIG_KEYS = ("use_ema", "ema_decay")
+#: was saved, so the stored weights already are the ones to sample from;
+#: ``schedule`` is always "cosine" (any other value is refused on load)
+_RETIRED_CONFIG_KEYS = ("use_ema", "ema_decay", "schedule")
 
 
 def load_pipeline(path: str | Path) -> TextToTrafficPipeline:
@@ -185,7 +186,7 @@ def load_pipeline(path: str | Path) -> TextToTrafficPipeline:
     shard archives hold float32 copies of the weights) is never
     decompressed, so such an archive loads as the plain archive would.
     Retired config keys of older archives are dropped; any other unknown
-    config key is an error.
+    config key is an error, and so is a ``schedule`` other than "cosine".
     """
     with np.load(path) as archive:
         arrays = {
@@ -197,6 +198,9 @@ def load_pipeline(path: str | Path) -> TextToTrafficPipeline:
         raise ValueError(
             f"unsupported pipeline archive version {meta.get('format_version')}"
         )
+    schedule = meta["config"].get("schedule", "cosine")
+    if schedule != "cosine":
+        raise ValueError(f"unsupported noise schedule {schedule!r}")
     config = PipelineConfig(**{
         key: value for key, value in meta["config"].items()
         if key not in _RETIRED_CONFIG_KEYS
@@ -342,17 +346,6 @@ def fit_or_load(
     return pipeline
 
 
-def clear_pipeline_cache(cache_dir: str | Path) -> int:
-    """Delete every cached pipeline archive; returns how many were removed."""
-    removed = 0
-    cache_dir = Path(cache_dir)
-    if cache_dir.is_dir():
-        for entry in cache_dir.glob("pipeline-*.npz"):
-            entry.unlink()
-            removed += 1
-    return removed
-
-
 # -- fitted-classifier cache --------------------------------------------------
 #
 # The evaluation tier refits the same Random Forest over the same feature
@@ -382,7 +375,6 @@ def save_forest(forest: RandomForest, path) -> None:
         right=compiled.right,
         proba=compiled.proba,
         roots=compiled.roots,
-        importances=forest.feature_importances_,
     )
 
 
@@ -403,7 +395,6 @@ def load_forest(path) -> RandomForest:
     forest = RandomForest(**meta["params"])
     forest.n_classes = int(meta["n_classes"])
     forest.n_features_ = int(meta["n_features"])
-    forest.feature_importances_ = arrays["importances"]
     forest._compiled = _CompiledForest(
         feature=arrays["feature"],
         threshold=arrays["threshold"],
@@ -472,14 +463,3 @@ def fit_forest_or_load(
     if path is not None:
         _write_atomic(path, lambda f: save_forest(forest, f))
     return forest
-
-
-def clear_forest_cache(cache_dir: str | Path) -> int:
-    """Delete every cached forest archive; returns how many were removed."""
-    removed = 0
-    cache_dir = Path(cache_dir)
-    if cache_dir.is_dir():
-        for entry in cache_dir.glob("forest-*.npz"):
-            entry.unlink()
-            removed += 1
-    return removed

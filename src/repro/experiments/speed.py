@@ -2,8 +2,8 @@
 
 The paper flags the multi-step sampling procedure of diffusion models as
 a hurdle for high-throughput trace generation.  This experiment sweeps
-the sampler step count — full ancestral DDPM down to few-step DDIM — and
-reports flows/second together with a fidelity proxy (per-bit marginal
+the sampler step count — every training timestep (the "ddpm" row, a
+T-step deterministic pass) down to few-step DDIM — and reports flows/second together with a fidelity proxy (per-bit marginal
 agreement against real data), regenerating the speed/quality trade-off.
 """
 

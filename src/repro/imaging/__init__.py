@@ -7,7 +7,6 @@ from repro.imaging.colormap import (
     compose_grid,
     continuous_to_ternary,
     rgb_to_ternary,
-    ternary_to_continuous,
     ternary_to_rgb,
 )
 from repro.imaging.png import PngError, read_png, write_png
@@ -19,7 +18,6 @@ __all__ = [
     "ternary_to_rgb",
     "rgb_to_ternary",
     "continuous_to_ternary",
-    "ternary_to_continuous",
     "compose_grid",
     "write_png",
     "read_png",

@@ -71,11 +71,6 @@ def continuous_to_ternary(
     return out
 
 
-def ternary_to_continuous(matrix: np.ndarray) -> np.ndarray:
-    """Map ternary {-1, 0, 1} into the float domain the models train on."""
-    return np.asarray(matrix, dtype=np.float64)
-
-
 def compose_grid(
     images: list[np.ndarray],
     gap: int = 4,

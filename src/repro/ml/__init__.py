@@ -5,7 +5,6 @@ from repro.ml.features import (
     OVERFIT_NETFLOW_FIELDS,
     NetFlowRecord,
     netflow_feature_names,
-    netflow_features,
     netflow_matrix,
     netflow_record,
     nprint_features,
@@ -13,22 +12,13 @@ from repro.ml.features import (
     overfit_bit_mask,
 )
 from repro.ml.forest import DecisionTree, RandomForest
-from repro.ml.importance import (
-    FieldImportance,
-    ImportanceReport,
-    fold_importances,
-    forest_importance_report,
-)
 from repro.ml.metrics import (
     accuracy,
     bit_fidelity,
     class_proportions,
-    confusion_matrix,
     imbalance_ratio,
     jensen_shannon_divergence,
-    macro_f1,
     normalized_entropy,
-    per_class_accuracy,
     wasserstein_1d,
 )
 from repro.ml.split import encode_labels, stratified_split
@@ -36,14 +26,7 @@ from repro.ml.split import encode_labels, stratified_split
 __all__ = [
     "DecisionTree",
     "RandomForest",
-    "fold_importances",
-    "forest_importance_report",
-    "ImportanceReport",
-    "FieldImportance",
     "accuracy",
-    "confusion_matrix",
-    "per_class_accuracy",
-    "macro_f1",
     "class_proportions",
     "imbalance_ratio",
     "normalized_entropy",
@@ -54,7 +37,6 @@ __all__ = [
     "NETFLOW_FIELDS",
     "OVERFIT_NETFLOW_FIELDS",
     "netflow_record",
-    "netflow_features",
     "netflow_matrix",
     "netflow_feature_names",
     "nprint_features",

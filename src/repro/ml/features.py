@@ -2,8 +2,9 @@
 
 Two feature granularities, matching the paper's comparison:
 
-* :func:`netflow_features` — the coarse NetFlow-style aggregates a
-  NetShare-like GAN generates (§2.3 lists ten fields).
+* :func:`netflow_matrix` over :func:`netflow_record` — the coarse
+  NetFlow-style aggregates a NetShare-like GAN generates (§2.3 lists ten
+  fields).
 * :func:`nprint_matrix_features` — flattened raw nprint bits ("raw packet
   bits", the fine-grained representation the paper advocates).
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from repro.net.flow import Flow
 from repro.nprint.encoder import encode_flow, encode_flows
-from repro.nprint.fields import FIELDS, NPRINT_BITS, VACANT
+from repro.nprint.fields import FIELDS, NPRINT_BITS
 
 # The ten NetFlow fields NetShare produces (§2.3): 5-tuple, start time,
 # duration, packets, bytes, label.  The label is the supervised target and
@@ -70,21 +71,6 @@ class NetFlowRecord:
     n_bytes: int
     label: str
 
-    def vector(self, include_overfit: bool = False) -> np.ndarray:
-        values = {
-            "src_ip": float(self.src_ip),
-            "dst_ip": float(self.dst_ip),
-            "src_port": float(self.src_port),
-            "dst_port": float(self.dst_port),
-            "proto": float(self.proto),
-            "start_time": float(self.start_time),
-            "duration": float(self.duration),
-            "n_packets": float(self.n_packets),
-            "n_bytes": float(self.n_bytes),
-        }
-        names = netflow_feature_names(include_overfit)
-        return np.array([values[n] for n in names], dtype=np.float64)
-
 
 def netflow_feature_names(include_overfit: bool = False) -> list[str]:
     if include_overfit:
@@ -111,49 +97,13 @@ def netflow_record(flow: Flow) -> NetFlowRecord:
     )
 
 
-def netflow_features(
-    flows: list[Flow], include_overfit: bool = False
-) -> np.ndarray:
-    """Feature matrix of NetFlow aggregates, one row per flow.
-
-    Built column-wise (one array per NetFlow field) rather than stacking
-    a per-flow :meth:`NetFlowRecord.vector` for every row; the output is
-    bit-for-bit identical to the per-record path
-    (``tests/test_features.py`` pins the parity).
-    """
-    if not flows:
-        raise ValueError("cannot build features for an empty flow list")
-    for flow in flows:
-        if not flow.packets:
-            raise ValueError("cannot summarise an empty flow")
-    n = len(flows)
-    firsts = [flow.packets[0] for flow in flows]
-    columns: dict[str, object] = {
-        "src_ip": lambda: (p.ip.src_ip for p in firsts),
-        "dst_ip": lambda: (p.ip.dst_ip for p in firsts),
-        "src_port": lambda: ((p.src_port or 0) for p in firsts),
-        "dst_port": lambda: ((p.dst_port or 0) for p in firsts),
-        "proto": lambda: (f.dominant_protocol for f in flows),
-        "start_time": lambda: (f.start_time for f in flows),
-        "duration": lambda: (f.duration for f in flows),
-        "n_packets": lambda: (len(f) for f in flows),
-        "n_bytes": lambda: (f.total_bytes for f in flows),
-    }
-    names = netflow_feature_names(include_overfit)
-    return np.column_stack(
-        [np.fromiter(columns[name](), dtype=np.float64, count=n)
-         for name in names]
-    )
-
-
 def netflow_matrix(
     records: list[NetFlowRecord], include_overfit: bool = False
 ) -> np.ndarray:
     """Feature matrix from NetFlow records, one row per record.
 
-    The record-side counterpart of :func:`netflow_features`, used where
-    the records already exist (e.g. GAN-generated NetFlow); also built
-    column-wise instead of per-record ``vector()`` calls.
+    Real flows pass through :func:`netflow_record` first; GAN-generated
+    NetFlow already is records.  Built column-wise, one array per field.
     """
     if not records:
         raise ValueError("cannot build features for an empty record list")

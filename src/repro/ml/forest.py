@@ -270,7 +270,6 @@ class DecisionTree:
         self._root: _Node | None = None
         self._compiled: _CompiledForest | None = None
         self.n_classes = 0
-        self.feature_importances_: np.ndarray | None = None
 
     def fit(
         self,
@@ -316,14 +315,10 @@ class DecisionTree:
     ) -> "DecisionTree":
         """Grow against a pre-binned matrix (shared across forest trees)."""
         self.n_classes = n_classes
-        self.feature_importances_ = np.zeros(codes.shape[1])
         idx = np.flatnonzero(weight > 0)
         if idx.size == 0:
             raise ValueError("sample_weight has no positive entries")
         self._root = self._grow(binner, codes, y, weight, idx, depth=0)
-        total = self.feature_importances_.sum()
-        if total > 0:
-            self.feature_importances_ /= total
         self._compiled = _compile_trees([self._root], n_classes)
         return self
 
@@ -352,9 +347,8 @@ class DecisionTree:
         split = self._best_split(binner, codes, y, weight, idx, class_weight)
         if split is None:
             return self._leaf(class_weight)
-        feature, t, threshold, gain = split
+        feature, t, threshold = split
         go_left = codes[idx, feature] <= t
-        self.feature_importances_[feature] += gain * n_eff
         node = _Node(feature=feature, threshold=threshold)
         node.left = self._grow(binner, codes, y, weight, idx[go_left], depth + 1)
         node.right = self._grow(
@@ -375,7 +369,7 @@ class DecisionTree:
         weight: np.ndarray,
         idx: np.ndarray,
         class_weight: np.ndarray,
-    ) -> tuple[int, int, float, float] | None:
+    ) -> tuple[int, int, float] | None:
         """Histogram Gini split search over a random feature subset.
 
         One weighted ``bincount`` over (feature, bin, class) plus a
@@ -434,7 +428,7 @@ class DecisionTree:
             return None
         feature = int(features[best_f])
         t = int(best_t[best_f])
-        return feature, t, binner.threshold_value(feature, t), float(gains[best_f])
+        return feature, t, binner.threshold_value(feature, t)
 
     # -- inference -----------------------------------------------------------
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -495,7 +489,6 @@ class RandomForest:
         self.trees: list[DecisionTree] = []
         self.n_classes = 0
         self.n_features_ = 0
-        self.feature_importances_: np.ndarray | None = None
         self._compiled: _CompiledForest | None = None
 
     def get_params(self) -> dict:
@@ -538,7 +531,6 @@ class RandomForest:
             codes = binner.transform(X)
         rng = np.random.default_rng(self.seed)
         self.trees = []
-        importances = np.zeros(n_features)
         for _ in range(self.n_trees):
             idx = rng.integers(0, n, size=n)  # bootstrap draw
             weight = np.bincount(idx, minlength=n).astype(np.float64)
@@ -554,8 +546,6 @@ class RandomForest:
             tree._fit_binned(binner, codes, y, weight, self.n_classes)
             perf.incr("forest.trees_fit")
             self.trees.append(tree)
-            importances += tree.feature_importances_
-        self.feature_importances_ = importances / self.n_trees
         self._compiled = _compile_trees(
             [tree._root for tree in self.trees], self.n_classes
         )

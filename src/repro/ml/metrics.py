@@ -17,49 +17,6 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, n_classes: int | None = None
-) -> np.ndarray:
-    """Counts[i, j] = samples of true class i predicted as class j."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
-    if n_classes is None:
-        n_classes = int(max(y_true.max(), y_pred.max())) + 1
-    out = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(out, (y_true, y_pred), 1)
-    return out
-
-
-def per_class_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> dict[int, float]:
-    """Recall per true class (classes absent from y_true are omitted)."""
-    cm = confusion_matrix(y_true, y_pred)
-    out = {}
-    for c in range(cm.shape[0]):
-        total = cm[c].sum()
-        if total:
-            out[c] = float(cm[c, c] / total)
-    return out
-
-
-def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Unweighted mean F1 over classes present in y_true."""
-    cm = confusion_matrix(y_true, y_pred)
-    f1s = []
-    for c in range(cm.shape[0]):
-        tp = cm[c, c]
-        fp = cm[:, c].sum() - tp
-        fn = cm[c].sum() - tp
-        if tp + fn == 0:
-            continue  # class absent from y_true
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn)
-        if precision + recall == 0:
-            f1s.append(0.0)
-        else:
-            f1s.append(2 * precision * recall / (precision + recall))
-    return float(np.mean(f1s)) if f1s else 0.0
-
-
 def class_proportions(labels: list[str], classes: list[str]) -> np.ndarray:
     """Proportion of each class in ``classes`` order (sums to 1)."""
     if not labels:

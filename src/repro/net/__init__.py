@@ -22,23 +22,14 @@ from repro.net.headers import (
     TCPHeader,
     UDPHeader,
 )
-from repro.net.ipaddr import in_subnet, ip_to_str, str_to_ip
+from repro.net.ipaddr import ip_to_str
 from repro.net.packet import Packet, build_packet, parse_packet
 from repro.net.flow import Flow, FlowKey, assemble_flows
 from repro.net.pcap import PcapReader, PcapWriter, read_pcap, write_pcap
-from repro.net.pcapng import (
-    PcapngReader,
-    PcapngWriter,
-    read_capture,
-    read_pcapng,
-    write_pcapng,
-)
+from repro.net.pcapng import PcapngReader, read_capture
 from repro.net.tcpoptions import (
     TCPOption,
     TCPOptionKind,
-    build_mss,
-    build_timestamps,
-    build_window_scale,
     find_option,
     parse_tcp_options,
 )
@@ -54,8 +45,6 @@ from repro.net.replay import (
 __all__ = [
     "internet_checksum",
     "ip_to_str",
-    "str_to_ip",
-    "in_subnet",
     "IPProto",
     "TCPFlags",
     "IPv4Header",
@@ -79,17 +68,11 @@ __all__ = [
     "read_pcap",
     "write_pcap",
     "PcapngReader",
-    "PcapngWriter",
-    "read_pcapng",
-    "write_pcapng",
     "read_capture",
     "TCPOption",
     "TCPOptionKind",
     "parse_tcp_options",
     "find_option",
-    "build_mss",
-    "build_window_scale",
-    "build_timestamps",
     "ReplayEngine",
     "ReplayReport",
     "NetworkFunction",

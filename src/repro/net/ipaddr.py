@@ -1,8 +1,8 @@
-"""Small IPv4 address helpers (dotted-quad <-> host-order integers).
+"""IPv4 address formatting (host-order integer -> dotted quad).
 
 The whole library carries addresses as host-byte-order integers (that is
-what the header structs and the nprint bit layout want); these helpers
-exist for the human-facing edges — CLI output, logs, examples.
+what the header structs and the nprint bit layout want); this helper
+exists for the human-facing edges — CLI output, logs, examples.
 """
 
 from __future__ import annotations
@@ -20,34 +20,3 @@ def ip_to_str(address: int) -> str:
         str((address >> shift) & 0xFF) for shift in (24, 16, 8, 0)
     )
 
-
-def str_to_ip(text: str) -> int:
-    """Parse a dotted quad into a host-order integer.
-
-    >>> hex(str_to_ip("10.0.0.1"))
-    '0xa000001'
-    """
-    parts = text.strip().split(".")
-    if len(parts) != 4:
-        raise ValueError(f"{text!r} is not a dotted quad")
-    value = 0
-    for part in parts:
-        if not part.isdigit():
-            raise ValueError(f"{text!r} has a non-numeric octet")
-        octet = int(part)
-        if octet > 255:
-            raise ValueError(f"octet {octet} out of range in {text!r}")
-        value = (value << 8) | octet
-    return value
-
-
-def in_subnet(address: int, prefix: int, mask_bits: int) -> bool:
-    """True when ``address`` falls inside ``prefix/mask_bits``.
-
-    >>> in_subnet(str_to_ip("10.1.2.3"), str_to_ip("10.0.0.0"), 8)
-    True
-    """
-    if not 0 <= mask_bits <= 32:
-        raise ValueError("mask_bits must be 0..32")
-    mask = 0 if mask_bits == 0 else (0xFFFFFFFF << (32 - mask_bits)) & 0xFFFFFFFF
-    return (address & mask) == (prefix & mask)

@@ -37,6 +37,14 @@ class PcapError(ValueError):
     """Raised on malformed pcap input."""
 
 
+def parse_record(payload: bytes, timestamp: float) -> Packet:
+    """Parse one captured IPv4 datagram; a malformed one raises PcapError."""
+    try:
+        return parse_packet(payload, timestamp)
+    except ValueError as exc:
+        raise PcapError(f"malformed packet record: {exc}") from exc
+
+
 class PcapWriter:
     """Streaming pcap writer.
 
@@ -176,7 +184,7 @@ class PcapReader:
             payload = self._strip_link_layer(data)
             if payload is None:
                 continue  # non-IPv4 frame; the paper's pipeline skips these
-            yield parse_packet(payload, timestamp)
+            yield parse_record(payload, timestamp)
 
     def _strip_link_layer(self, data: bytes) -> bytes | None:
         if self.linktype == LINKTYPE_RAW:

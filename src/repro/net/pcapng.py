@@ -1,4 +1,4 @@
-"""pcapng (PCAP Next Generation) reader/writer.
+"""pcapng (PCAP Next Generation) reader.
 
 Modern capture tools default to pcapng, so a trace library that only
 speaks classic pcap cannot ingest half the captures in the wild.  This
@@ -8,8 +8,8 @@ implements the subset every real file uses:
 * Interface Description Block (IDB, 0x00000001) including the
   ``if_tsresol`` option (timestamp resolution),
 * Enhanced Packet Block (EPB, 0x00000006),
-* Simple Packet Block (SPB, 0x00000003) — read-only (it carries no
-  timestamp; packets get t=0).
+* Simple Packet Block (SPB, 0x00000003) — it carries no timestamp, so
+  its packets get t=0.
 
 Unknown block types are skipped, as the spec requires.  Like the classic
 pcap module, LINKTYPE_RAW and LINKTYPE_ETHERNET (IPv4) are supported.
@@ -19,10 +19,16 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
-from repro.net.packet import Packet, parse_packet
-from repro.net.pcap import LINKTYPE_ETHERNET, LINKTYPE_RAW, PcapError
+from repro.net.packet import Packet
+from repro.net.pcap import (
+    LINKTYPE_ETHERNET,
+    LINKTYPE_RAW,
+    PcapError,
+    PcapReader,
+    parse_record,
+)
 
 SHB_TYPE = 0x0A0D0D0A
 IDB_TYPE = 0x00000001
@@ -35,65 +41,6 @@ _ETHERTYPE_IPV4 = 0x0800
 
 class PcapngError(PcapError):
     """Raised on malformed pcapng input."""
-
-
-def _pad4(n: int) -> int:
-    return (4 - n % 4) % 4
-
-
-class PcapngWriter:
-    """Write packets as a single-section, single-interface pcapng file.
-
-    Timestamps are stored at microsecond resolution (``if_tsresol = 6``).
-    """
-
-    def __init__(self, fileobj: BinaryIO, linktype: int = LINKTYPE_RAW,
-                 snaplen: int = 65535):
-        self._f = fileobj
-        self.linktype = linktype
-        self.snaplen = snaplen
-        self._write_shb()
-        self._write_idb()
-
-    def _write_block(self, block_type: int, body: bytes) -> None:
-        total = 12 + len(body) + _pad4(len(body))
-        self._f.write(struct.pack("<II", block_type, total))
-        self._f.write(body)
-        self._f.write(b"\x00" * _pad4(len(body)))
-        self._f.write(struct.pack("<I", total))
-
-    def _write_shb(self) -> None:
-        body = struct.pack("<IHHq", BYTE_ORDER_MAGIC, 1, 0, -1)
-        self._write_block(SHB_TYPE, body)
-
-    def _write_idb(self) -> None:
-        # Option 9 (if_tsresol) = 6 -> microseconds; then opt_endofopt.
-        options = struct.pack("<HHB3x", 9, 1, 6) + struct.pack("<HH", 0, 0)
-        body = struct.pack("<HHI", self.linktype, 0, self.snaplen) + options
-        self._write_block(IDB_TYPE, body)
-
-    def write_packet(self, pkt: Packet) -> None:
-        self.write_raw(pkt.to_bytes(), pkt.timestamp)
-
-    def write_raw(self, data: bytes, timestamp: float = 0.0) -> None:
-        if timestamp < 0:
-            raise PcapngError("pcapng timestamps cannot be negative")
-        ts = int(round(timestamp * 1_000_000))
-        captured = data[: self.snaplen]
-        body = struct.pack(
-            "<IIIII", 0, ts >> 32, ts & 0xFFFFFFFF,
-            len(captured), len(data),
-        ) + captured
-        self._write_block(EPB_TYPE, body)
-
-    def close(self) -> None:
-        self._f.close()
-
-    def __enter__(self) -> "PcapngWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class PcapngReader:
@@ -161,7 +108,7 @@ class PcapngReader:
                 self._endian + "HH", body[pos:pos + 4])
             pos += 4
             value = body[pos:pos + length]
-            pos += length + _pad4(length)
+            pos += length + -length % 4
             if code == 0:
                 break
             if code == 9 and length >= 1:  # if_tsresol
@@ -209,7 +156,7 @@ class PcapngReader:
         if payload is None:
             return
         timestamp = ((ts_high << 32) | ts_low) * resolution
-        yield parse_packet(payload, timestamp)
+        yield parse_record(payload, timestamp)
 
     def _decode_spb(self, body: bytes) -> Iterator[Packet]:
         if not self._interfaces:
@@ -222,42 +169,19 @@ class PcapngReader:
         payload = self._strip_link(data, linktype)
         if payload is None:
             return
-        yield parse_packet(payload, 0.0)
-
-    def close(self) -> None:
-        self._f.close()
-
-    def __enter__(self) -> "PcapngReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def write_pcapng(path: str | Path, packets: Iterable[Packet]) -> int:
-    """Write ``packets`` to a pcapng file; returns the number written."""
-    count = 0
-    with PcapngWriter(open(path, "wb")) as writer:
-        for pkt in packets:
-            writer.write_packet(pkt)
-            count += 1
-    return count
-
-
-def read_pcapng(path: str | Path) -> list[Packet]:
-    """Read every IPv4 packet from a pcapng file."""
-    with PcapngReader(open(path, "rb")) as reader:
-        return list(reader)
+        yield parse_record(payload, 0.0)
 
 
 def read_capture(path: str | Path) -> list[Packet]:
-    """Read either format, sniffing the magic bytes."""
+    """Read every IPv4 packet from a pcap or pcapng file.
+
+    The format is sniffed from the magic bytes.  Malformed input of either
+    format raises :class:`~repro.net.pcap.PcapError`.
+    """
     with open(path, "rb") as f:
         magic = f.read(4)
-    if len(magic) < 4:
-        raise PcapError("file too short to be a capture")
-    if struct.unpack("<I", magic)[0] == SHB_TYPE:
-        return read_pcapng(path)
-    from repro.net.pcap import read_pcap
-
-    return read_pcap(path)
+        f.seek(0)
+        # The SHB type reads the same in either byte order.
+        if magic == struct.pack("<I", SHB_TYPE):
+            return list(PcapngReader(f))
+        return list(PcapReader(f))

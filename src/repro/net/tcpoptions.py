@@ -1,4 +1,4 @@
-"""TCP option parsing and construction (RFC 793 §3.1 option format).
+"""TCP option parsing (RFC 793 §3.1 option format).
 
 The session builders emit real option bytes (MSS, window scale, SACK-
 permitted, timestamps); this module is the inverse — structured access to
@@ -92,21 +92,3 @@ def find_option(raw: bytes, kind: int) -> TCPOption | None:
             return option
     return None
 
-
-def build_mss(mss: int) -> bytes:
-    """MSS option bytes."""
-    if not 0 <= mss < 2**16:
-        raise ValueError("mss out of range")
-    return struct.pack(">BBH", TCPOptionKind.MSS, 4, mss)
-
-
-def build_window_scale(shift: int) -> bytes:
-    if not 0 <= shift <= 14:
-        raise ValueError("window scale shift out of range (0..14)")
-    return struct.pack(">BBB", TCPOptionKind.WINDOW_SCALE, 3, shift)
-
-
-def build_timestamps(tsval: int, tsecr: int) -> bytes:
-    if not (0 <= tsval < 2**32 and 0 <= tsecr < 2**32):
-        raise ValueError("timestamp out of range")
-    return struct.pack(">BBII", TCPOptionKind.TIMESTAMPS, 10, tsval, tsecr)

@@ -21,8 +21,6 @@ from repro.nprint.fields import (
     UDP_OFFSET,
     VACANT,
     FieldSlice,
-    bit_feature_names,
-    field_names,
 )
 from repro.nprint.encoder import (
     DEFAULT_MAX_PACKETS,
@@ -32,11 +30,6 @@ from repro.nprint.encoder import (
     encode_packets,
     interarrival_channel,
     interarrival_channels,
-)
-from repro.nprint.textio import (
-    NprintTextError,
-    read_nprint_csv,
-    write_nprint_csv,
 )
 from repro.nprint.decoder import (
     FlowBatch,
@@ -64,8 +57,6 @@ __all__ = [
     "FIELDS",
     "REGION_SLICES",
     "FieldSlice",
-    "field_names",
-    "bit_feature_names",
     "DEFAULT_MAX_PACKETS",
     "encode_packet",
     "encode_packets",
@@ -82,7 +73,4 @@ __all__ = [
     "region_occupancy",
     "infer_transport",
     "is_vacant_row",
-    "write_nprint_csv",
-    "read_nprint_csv",
-    "NprintTextError",
 ]

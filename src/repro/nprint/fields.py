@@ -15,7 +15,7 @@ ICMP   64      the 8-byte ICMP header
 Bits carried by the packet are encoded 0/1; regions (or option tail bytes)
 the packet does not carry are encoded −1 ("vacant").  This module defines
 the region offsets plus named *field slices* inside each region so the rest
-of the library (repair pass, feature importance reports, property tests)
+of the library (repair pass, ControlNet masks, property tests)
 can address individual protocol fields symbolically instead of by magic
 bit index.
 """
@@ -126,20 +126,3 @@ REGION_SLICES: dict[str, FieldSlice] = {
     "icmp": FieldSlice("icmp", ICMP_OFFSET, ICMP_BITS),
 }
 
-
-def field_names() -> list[str]:
-    """All named field slices in layout order."""
-    return sorted(FIELDS, key=lambda n: FIELDS[n].start)
-
-
-def bit_feature_names() -> list[str]:
-    """A name for every one of the 1088 bit columns (``field_bit{i}``).
-
-    Used by the random-forest feature-importance report so per-bit features
-    remain interpretable.
-    """
-    names = [""] * NPRINT_BITS
-    for fs in FIELDS.values():
-        for i, bit in enumerate(fs):
-            names[bit] = f"{fs.name}_bit{i}"
-    return names

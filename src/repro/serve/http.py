@@ -16,8 +16,9 @@ Routes:
   body (``application/vnd.tcpdump.pcap``) plus ``X-Repro-Request-Id`` /
   ``X-Repro-Flows`` / ``X-Repro-Packets`` headers.  400 for a malformed
   body or a field out of range (``count`` above the service's
-  ``max_batch_flows``, ``steps < 1``, a negative or non-finite
-  ``guidance_weight``, a ``timeout`` that is not finite and > 0), 429
+  ``max_batch_flows``, ``steps`` outside ``[1, timesteps]`` of the
+  resolved model, a negative or non-finite ``guidance_weight``, a
+  ``timeout`` that is not finite and > 0), 429
   when the queue is full, 504 on deadline, 404 for an
   unknown class or model, 503 while draining, 408 (and the connection
   closes) when the body does not arrive within :data:`SOCKET_TIMEOUT`.
@@ -187,6 +188,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except KeyError as exc:
             self._reply_json(404, {"error": f"unknown class/model: {exc}"})
+            return
+        except ValueError as exc:
+            # Out of range for the model the request resolved to (e.g.
+            # ``steps`` above its ``timesteps``).
+            self._reply_json(400, {"error": f"bad request: {exc}"})
             return
         except ServiceClosed as exc:
             self._reply_json(503, {"error": str(exc)})

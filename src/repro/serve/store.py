@@ -112,8 +112,3 @@ class ModelStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._loaded)
-
-
-def digest_of(pipeline: TextToTrafficPipeline) -> str:
-    """Convenience re-export: the content digest a store would file under."""
-    return pipeline_state_digest(pipeline)

@@ -8,7 +8,6 @@ session builders.  See DESIGN.md, "Substitutions".
 """
 
 from repro.traffic.profiles import (
-    MACRO_LABELS,
     MACRO_OF,
     MICRO_LABELS,
     PROFILES,
@@ -30,13 +29,7 @@ from repro.traffic.sessions import (
 )
 from repro.traffic.apps import generate_flow
 from repro.traffic.vpn import VPNTunnel, tunnel_payload_length, vpn_dataset
-from repro.traffic.conditions import (
-    apply_jitter,
-    apply_latency,
-    apply_loss,
-    apply_throttle,
-    condition_dataset,
-)
+from repro.traffic.conditions import apply_throttle
 from repro.traffic.dataset import (
     TraceDataset,
     build_service_recognition_dataset,
@@ -51,7 +44,6 @@ __all__ = [
     "SessionShape",
     "PROFILES",
     "MICRO_LABELS",
-    "MACRO_LABELS",
     "MACRO_OF",
     "macro_label",
     "table1_counts",
@@ -72,9 +64,5 @@ __all__ = [
     "VPNTunnel",
     "vpn_dataset",
     "tunnel_payload_length",
-    "apply_latency",
-    "apply_jitter",
-    "apply_loss",
     "apply_throttle",
-    "condition_dataset",
 ]

@@ -1,98 +1,18 @@
-"""Network condition transforms: latency, jitter, loss, throttling.
+"""Network condition transform: throughput throttling.
 
 Substrate for the paper's §4 "network condition transfers — transferring
 across varying network conditions such as latency, throughput, and loss
-rate".  Each transform takes a flow and returns the flow as it would have
-been captured under the altered path condition:
+rate".  :func:`apply_throttle` returns a flow as it would have been
+captured behind a byte-per-second cap.
 
-* :func:`apply_latency` — adds a constant one-way delay per direction
-  (server-side packets arrive later at the client-side tap);
-* :func:`apply_jitter` — adds random per-packet delay variation;
-* :func:`apply_loss` — drops packets i.i.d. (with the option to protect
-  the TCP handshake so the flow stays decodable);
-* :func:`apply_throttle` — re-paces packets so the instantaneous rate
-  never exceeds a byte-per-second cap.
-
-Transforms never mutate their input; packet headers are shared (they are
-not modified), only timestamps/membership change.
+The transform never mutates its input; packet headers are shared (they
+are not modified), only timestamps change.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.net.flow import Flow
-from repro.net.headers import TCPFlags, TCPHeader
 from repro.net.packet import Packet
-
-
-def _with_timestamp(pkt: Packet, timestamp: float) -> Packet:
-    return Packet(ip=pkt.ip, transport=pkt.transport, payload=pkt.payload,
-                  timestamp=timestamp)
-
-
-def _sorted_flow(packets: list[Packet], label: str) -> Flow:
-    packets.sort(key=lambda p: p.timestamp)
-    return Flow(packets=packets, label=label)
-
-
-def apply_latency(flow: Flow, extra_delay: float,
-                  direction_ip: int | None = None) -> Flow:
-    """Delay packets from one endpoint by ``extra_delay`` seconds.
-
-    ``direction_ip`` selects whose packets are delayed (default: the
-    responder, i.e. everything not sourced by the first packet's sender —
-    the common case of added server-path latency seen at a client tap).
-    """
-    if extra_delay < 0:
-        raise ValueError("extra_delay must be >= 0")
-    if not flow.packets:
-        return Flow(label=flow.label)
-    client = flow.packets[0].ip.src_ip
-    packets = []
-    for pkt in flow.packets:
-        delayed = (pkt.ip.src_ip == direction_ip) if direction_ip is not None \
-            else (pkt.ip.src_ip != client)
-        ts = pkt.timestamp + (extra_delay if delayed else 0.0)
-        packets.append(_with_timestamp(pkt, ts))
-    return _sorted_flow(packets, flow.label)
-
-
-def apply_jitter(flow: Flow, std: float,
-                 rng: np.random.Generator | None = None) -> Flow:
-    """Add non-negative random delay with standard deviation ``std``."""
-    if std < 0:
-        raise ValueError("std must be >= 0")
-    rng = rng or np.random.default_rng()
-    packets = [
-        _with_timestamp(p, p.timestamp + abs(float(rng.normal(0.0, std))))
-        for p in flow.packets
-    ]
-    return _sorted_flow(packets, flow.label)
-
-
-def apply_loss(flow: Flow, loss_rate: float,
-               rng: np.random.Generator | None = None,
-               protect_handshake: bool = True) -> Flow:
-    """Drop packets i.i.d. with probability ``loss_rate``.
-
-    With ``protect_handshake`` the first three packets of a TCP flow are
-    never dropped, so the surviving flow still carries its connection
-    setup (useful when the lossy flow feeds the nprint pipeline).
-    """
-    if not 0.0 <= loss_rate < 1.0:
-        raise ValueError("loss_rate must be in [0, 1)")
-    rng = rng or np.random.default_rng()
-    packets = []
-    for i, pkt in enumerate(flow.packets):
-        protected = (
-            protect_handshake
-            and i < 3
-            and isinstance(pkt.transport, TCPHeader)
-        )
-        if protected or rng.random() >= loss_rate:
-            packets.append(pkt)
-    return Flow(packets=list(packets), label=flow.label)
 
 
 def apply_throttle(flow: Flow, bytes_per_second: float) -> Flow:
@@ -109,32 +29,7 @@ def apply_throttle(flow: Flow, bytes_per_second: float) -> Flow:
     available_at = flow.packets[0].timestamp
     for pkt in flow.packets:
         release = max(pkt.timestamp, available_at)
-        packets.append(_with_timestamp(pkt, release))
+        packets.append(Packet(ip=pkt.ip, transport=pkt.transport,
+                              payload=pkt.payload, timestamp=release))
         available_at = release + pkt.total_length / bytes_per_second
     return Flow(packets=packets, label=flow.label)
-
-
-def condition_dataset(
-    flows: list[Flow],
-    latency: float = 0.0,
-    jitter: float = 0.0,
-    loss_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-    label_suffix: str = "",
-) -> list[Flow]:
-    """Apply a bundle of conditions to every flow (composition order:
-    latency -> jitter -> loss)."""
-    rng = rng or np.random.default_rng()
-    out = []
-    for flow in flows:
-        f = flow
-        if latency:
-            f = apply_latency(f, latency)
-        if jitter:
-            f = apply_jitter(f, jitter, rng)
-        if loss_rate:
-            f = apply_loss(f, loss_rate, rng)
-        if label_suffix:
-            f = Flow(packets=f.packets, label=f.label + label_suffix)
-        out.append(f)
-    return out

@@ -246,11 +246,6 @@ MACRO_OF: dict[str, MacroService] = {
     name: profile.macro for name, profile in PROFILES.items()
 }
 
-MACRO_LABELS: tuple[str, ...] = tuple(
-    dict.fromkeys(m.value for m in MACRO_OF.values())
-)
-
-
 def macro_label(micro: str) -> str:
     """Macro service label for a micro application name."""
     return MACRO_OF[micro].value

@@ -14,7 +14,9 @@ at a time:
 * :func:`decode_rows` — sequential ``clock += gap`` timestamps and one
   :func:`~repro.nprint.decoder.decode_packet` per live row;
 * :func:`finalize_flow` — the whole chain; ``Packet.to_bytes()`` of its
-  packets is the expected wire record of each packet.
+  packets is the expected wire record of each packet;
+* :func:`protocol_mask` — a canonical pure-protocol structure mask, the
+  fixture the guidance tests project onto.
 """
 
 from __future__ import annotations
@@ -29,6 +31,21 @@ from repro.nprint.fields import FIELDS, NPRINT_BITS, REGION_SLICES, VACANT
 # Fixed (option-free) bit spans of the IPv4 and TCP header regions.
 _IPV4_FIXED_BITS = 160
 _TCP_FIXED_BITS = 160
+
+
+def protocol_mask(proto: str, occupancy: float = 1.0) -> np.ndarray:
+    """Canonical structure mask for a pure-``proto`` flow ('tcp'/'udp'/'icmp').
+
+    Marks the IPv4 region and the named transport region occupied.
+    """
+    if proto not in ("tcp", "udp", "icmp"):
+        raise ValueError(f"unknown protocol {proto!r}")
+    mask = np.zeros(NPRINT_BITS)
+    ipv4 = REGION_SLICES["ipv4"]
+    mask[ipv4.start : ipv4.stop] = occupancy
+    region = REGION_SLICES[proto]
+    mask[region.start : region.stop] = occupancy
+    return mask
 
 
 def guide_flow(matrix: np.ndarray, mask: np.ndarray,

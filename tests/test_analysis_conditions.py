@@ -1,6 +1,5 @@
 """Tests for the analysis toolkit and network-condition transforms."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -8,18 +7,11 @@ from repro.analysis import (
     TraceSummary,
     compare_generators,
     compare_traces,
-    throughput_series,
 )
 from repro.net.flow import Flow
 from repro.net.headers import IPProto
 from repro.traffic import generate_app_flows
-from repro.traffic.conditions import (
-    apply_jitter,
-    apply_latency,
-    apply_loss,
-    apply_throttle,
-    condition_dataset,
-)
+from repro.traffic.conditions import apply_throttle
 
 
 @pytest.fixture(scope="module")
@@ -82,21 +74,6 @@ class TestTraceSummary:
             TraceSummary.from_flows([Flow()])
 
 
-class TestThroughput:
-    def test_series_conserves_bytes(self, netflix_flows):
-        edges, series = throughput_series(netflix_flows, bin_seconds=1.0)
-        assert series.sum() == sum(f.total_bytes for f in netflix_flows)
-        assert len(edges) == len(series)
-
-    def test_empty(self):
-        edges, series = throughput_series([])
-        assert edges.size == 0 and series.size == 0
-
-    def test_invalid_bin(self, netflix_flows):
-        with pytest.raises(ValueError):
-            throughput_series(netflix_flows, bin_seconds=0)
-
-
 class TestCompare:
     def test_self_comparison_near_zero(self, netflix_flows):
         report = compare_traces(netflix_flows, netflix_flows,
@@ -134,72 +111,7 @@ class TestCompare:
             report.value("nope")
 
 
-class TestLatency:
-    def test_responder_delayed(self, netflix_flows):
-        flow = netflix_flows[0]
-        shifted = apply_latency(flow, 0.5)
-        client = flow.packets[0].ip.src_ip
-        assert len(shifted) == len(flow)
-        # Server-sourced packets move +0.5s; client packets stay put.
-        original_server = sorted(
-            p.timestamp for p in flow.packets if p.ip.src_ip != client)
-        shifted_server = sorted(
-            p.timestamp for p in shifted.packets if p.ip.src_ip != client)
-        for a, b in zip(original_server, shifted_server):
-            assert b == pytest.approx(a + 0.5)
-        original_client = sorted(
-            p.timestamp for p in flow.packets if p.ip.src_ip == client)
-        shifted_client = sorted(
-            p.timestamp for p in shifted.packets if p.ip.src_ip == client)
-        assert shifted_client == pytest.approx(original_client)
-        assert shifted.duration >= flow.duration
-
-    def test_zero_delay_identity(self, netflix_flows):
-        flow = netflix_flows[0]
-        out = apply_latency(flow, 0.0)
-        assert [p.timestamp for p in out.packets] == \
-            [p.timestamp for p in flow.packets]
-
-    def test_negative_rejected(self, netflix_flows):
-        with pytest.raises(ValueError):
-            apply_latency(netflix_flows[0], -1.0)
-
-    def test_mean_interarrival_increases(self, netflix_flows):
-        flow = netflix_flows[0]
-        shifted = apply_latency(flow, 0.2)
-        assert np.mean(shifted.interarrival_times()) >= \
-            np.mean(flow.interarrival_times()) - 1e-9
-
-
 class TestJitterLossThrottle:
-    def test_jitter_preserves_membership(self, netflix_flows):
-        flow = netflix_flows[0]
-        out = apply_jitter(flow, 0.01, np.random.default_rng(0))
-        assert len(out) == len(flow)
-        ts = [p.timestamp for p in out.packets]
-        assert ts == sorted(ts)
-
-    def test_jitter_zero_identity(self, netflix_flows):
-        flow = netflix_flows[0]
-        out = apply_jitter(flow, 0.0, np.random.default_rng(0))
-        assert [p.timestamp for p in out.packets] == \
-            [p.timestamp for p in flow.packets]
-
-    def test_loss_drops_packets(self, netflix_flows):
-        flow = netflix_flows[0]
-        out = apply_loss(flow, 0.5, np.random.default_rng(0))
-        assert len(out) < len(flow)
-
-    def test_loss_protects_handshake(self, netflix_flows):
-        flow = netflix_flows[0]
-        out = apply_loss(flow, 0.95, np.random.default_rng(0))
-        assert len(out) >= 3
-        assert out.packets[0].transport.flags & 0x02  # SYN survives
-
-    def test_loss_validation(self, netflix_flows):
-        with pytest.raises(ValueError):
-            apply_loss(netflix_flows[0], 1.0)
-
     def test_throttle_caps_rate(self, netflix_flows):
         flow = netflix_flows[0]
         cap = 50_000.0  # bytes/s, well below a burst's instantaneous rate
@@ -213,12 +125,3 @@ class TestJitterLossThrottle:
     def test_throttle_validation(self, netflix_flows):
         with pytest.raises(ValueError):
             apply_throttle(netflix_flows[0], 0)
-
-    def test_condition_dataset_composition(self, netflix_flows):
-        out = condition_dataset(
-            netflix_flows, latency=0.1, jitter=0.005, loss_rate=0.1,
-            rng=np.random.default_rng(0), label_suffix="-degraded",
-        )
-        assert len(out) == len(netflix_flows)
-        assert all(f.label == "netflix-degraded" for f in out)
-        assert sum(len(f) for f in out) < sum(len(f) for f in netflix_flows)

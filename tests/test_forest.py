@@ -72,12 +72,6 @@ class TestDecisionTree:
         with pytest.raises(ValueError):
             DecisionTree().fit(np.zeros((5, 2)), np.zeros(4, dtype=np.int64))
 
-    def test_feature_importances_sum_to_one(self, xor_data):
-        X, y = xor_data
-        tree = DecisionTree(max_depth=6, rng=np.random.default_rng(0))
-        tree.fit(X, y)
-        assert tree.feature_importances_.sum() == pytest.approx(1.0)
-
     def test_ternary_features(self, rng):
         # nprint-style data: only {-1, 0, 1} values.
         X = rng.choice([-1, 0, 1], size=(300, 20)).astype(np.float32)
@@ -151,9 +145,3 @@ class TestRandomForest:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             RandomForest().predict(np.zeros((1, 2), dtype=np.float32))
-
-    def test_feature_importances_available(self, xor_data):
-        X, y = xor_data
-        rf = RandomForest(n_trees=5, seed=0).fit(X, y)
-        assert rf.feature_importances_.shape == (2,)
-        assert rf.feature_importances_.sum() > 0

@@ -5,7 +5,6 @@ import pytest
 
 from repro import perf
 from repro.core.serialization import (
-    clear_forest_cache,
     fit_forest_or_load,
     forest_cache_key,
     load_forest,
@@ -32,9 +31,18 @@ class TestForestRoundtrip:
         loaded = load_forest(path)
         assert np.array_equal(loaded.predict_proba(X), rf.predict_proba(X))
         assert np.array_equal(loaded.predict(X), rf.predict(X))
-        assert np.array_equal(
-            loaded.feature_importances_, rf.feature_importances_
-        )
+
+    def test_archive_with_importances_loads(self, fitted, tmp_path):
+        """Older archives also hold a per-feature ``importances`` array;
+        it is ignored and the forest predicts as before."""
+        rf, X, _y = fitted
+        path = tmp_path / "forest.npz"
+        save_forest(rf, path)
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        np.savez_compressed(path, importances=np.ones(X.shape[1]), **arrays)
+        loaded = load_forest(path)
+        assert np.array_equal(loaded.predict_proba(X), rf.predict_proba(X))
 
     def test_metadata_preserved(self, fitted, tmp_path):
         rf, _X, _y = fitted
@@ -103,16 +111,6 @@ class TestFitForestOrLoad:
             assert perf.counter("forest.cache_hit") == 0
         finally:
             perf.reset()
-
-    def test_clear_forest_cache(self, fitted, tmp_path):
-        _rf, X, y = fitted
-        fit_forest_or_load(
-            RandomForest(n_trees=4, seed=1), X, y, cache_dir=tmp_path
-        )
-        assert len(list(tmp_path.glob("forest-*.npz"))) == 1
-        assert clear_forest_cache(tmp_path) == 1
-        assert list(tmp_path.glob("forest-*.npz")) == []
-        assert clear_forest_cache(tmp_path) == 0
 
 
 class TestExperimentFitForest:

@@ -7,12 +7,9 @@ from repro.ml.metrics import (
     accuracy,
     bit_fidelity,
     class_proportions,
-    confusion_matrix,
     imbalance_ratio,
     jensen_shannon_divergence,
-    macro_f1,
     normalized_entropy,
-    per_class_accuracy,
     wasserstein_1d,
 )
 
@@ -31,30 +28,6 @@ class TestAccuracy:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             accuracy([], [])
-
-
-class TestConfusionMatrix:
-    def test_counts(self):
-        cm = confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1])
-        assert cm.tolist() == [[1, 1], [0, 2]]
-
-    def test_explicit_n_classes(self):
-        cm = confusion_matrix([0], [0], n_classes=5)
-        assert cm.shape == (5, 5)
-
-    def test_per_class_accuracy(self):
-        out = per_class_accuracy([0, 0, 1, 1, 2], [0, 1, 1, 1, 0])
-        assert out[0] == 0.5
-        assert out[1] == 1.0
-        assert out[2] == 0.0
-
-    def test_macro_f1_perfect(self):
-        assert macro_f1([0, 1, 2], [0, 1, 2]) == pytest.approx(1.0)
-
-    def test_macro_f1_ignores_absent_classes(self):
-        # Class 2 never appears in y_true.
-        score = macro_f1([0, 0, 1], [0, 0, 2])
-        assert 0 <= score < 1
 
 
 class TestDistributions:

@@ -12,8 +12,6 @@ from repro.nprint.fields import (
     TCP_OFFSET,
     UDP_BITS,
     UDP_OFFSET,
-    bit_feature_names,
-    field_names,
 )
 
 
@@ -68,15 +66,3 @@ class TestFieldSlices:
     def test_field_iteration(self):
         fs = FIELDS["ipv4.version"]
         assert list(fs) == [0, 1, 2, 3]
-
-    def test_field_names_sorted_by_offset(self):
-        names = field_names()
-        starts = [FIELDS[n].start for n in names]
-        assert starts == sorted(starts)
-
-    def test_bit_feature_names_complete(self):
-        names = bit_feature_names()
-        assert len(names) == NPRINT_BITS
-        assert all(names)
-        assert names[0] == "ipv4.version_bit0"
-        assert len(set(names)) == NPRINT_BITS

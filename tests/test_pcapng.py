@@ -1,10 +1,12 @@
-"""Unit tests for the pcapng reader/writer."""
+"""Unit tests for the pcapng reader and the format-sniffing capture reader."""
 
 import io
 import struct
 
 import pytest
 
+from repro.cli import main
+from repro.net.pcap import PcapWriter, write_pcap
 from repro.net.pcapng import (
     BYTE_ORDER_MAGIC,
     EPB_TYPE,
@@ -12,49 +14,62 @@ from repro.net.pcapng import (
     SHB_TYPE,
     PcapngError,
     PcapngReader,
-    PcapngWriter,
     read_capture,
-    read_pcapng,
-    write_pcapng,
 )
-from repro.net.pcap import write_pcap
+
+#: LINKTYPE_RAW: records are bare IPv4 packets
+RAW = 101
 
 
-class TestWriter:
-    def test_starts_with_shb(self, tcp_packet):
-        buf = io.BytesIO()
-        PcapngWriter(buf).write_packet(tcp_packet)
-        blob = buf.getvalue()
-        assert struct.unpack("<I", blob[:4])[0] == SHB_TYPE
-        assert struct.unpack("<I", blob[8:12])[0] == BYTE_ORDER_MAGIC
+def block(block_type, body, endian="<"):
+    """One pcapng block: type, total length, 4-aligned body, total length."""
+    pad = -len(body) % 4
+    total = 12 + len(body) + pad
+    return (struct.pack(endian + "II", block_type, total) + body
+            + b"\x00" * pad + struct.pack(endian + "I", total))
 
-    def test_blocks_are_4_aligned(self, tcp_packet):
-        buf = io.BytesIO()
-        w = PcapngWriter(buf)
-        w.write_packet(tcp_packet)
-        assert len(buf.getvalue()) % 4 == 0
 
-    def test_negative_timestamp_rejected(self):
-        w = PcapngWriter(io.BytesIO())
-        with pytest.raises(PcapngError):
-            w.write_raw(b"\x45" + b"\x00" * 19, timestamp=-0.5)
+def section(endian="<", tsresol=None):
+    """A Section Header plus one raw-IPv4 Interface Description.
 
-    def test_snaplen_truncates(self, tcp_packet):
-        buf = io.BytesIO()
-        PcapngWriter(buf, snaplen=20).write_packet(tcp_packet)
-        buf.seek(0)
-        pkts = list(PcapngReader(buf))
-        assert pkts[0].total_length <= tcp_packet.total_length
+    ``tsresol`` sets the interface's ``if_tsresol`` option; without it
+    timestamps are microseconds (the pcapng default).
+    """
+    options = b""
+    if tsresol is not None:
+        options = (struct.pack(endian + "HHB3x", 9, 1, tsresol)
+                   + struct.pack(endian + "HH", 0, 0))
+    return (block(SHB_TYPE, struct.pack(endian + "IHHq", BYTE_ORDER_MAGIC,
+                                        1, 0, -1), endian)
+            + block(IDB_TYPE, struct.pack(endian + "HHI", RAW, 0, 65535)
+                    + options, endian))
+
+
+def epb(wire, ticks, interface=0, endian="<"):
+    """An Enhanced Packet Block stamped ``ticks`` timestamp units."""
+    head = struct.pack(endian + "IIIII", interface, ticks >> 32,
+                       ticks & 0xFFFFFFFF, len(wire), len(wire))
+    return block(EPB_TYPE, head + wire, endian)
+
+
+def pcapng_bytes(packets):
+    """A little-endian, microsecond-resolution pcapng file of ``packets``."""
+    return section() + b"".join(
+        epb(p.to_bytes(), round(p.timestamp * 1_000_000)) for p in packets)
+
+
+def read(blob):
+    return list(PcapngReader(io.BytesIO(blob)))
 
 
 class TestRoundtrip:
     def test_mixed_packets(self, tcp_packet, udp_packet, icmp_packet,
                            tmp_path):
         path = tmp_path / "trace.pcapng"
-        n = write_pcapng(path, [tcp_packet, udp_packet, icmp_packet])
-        assert n == 3
-        back = read_pcapng(path)
+        path.write_bytes(pcapng_bytes([tcp_packet, udp_packet, icmp_packet]))
+        back = read_capture(path)
         assert [p.ip.proto for p in back] == [6, 17, 1]
+        assert back[0].to_bytes() == tcp_packet.to_bytes()
         assert back[0].transport.seq == tcp_packet.transport.seq
         assert back[0].timestamp == pytest.approx(
             tcp_packet.timestamp, abs=1e-6)
@@ -62,8 +77,8 @@ class TestRoundtrip:
     def test_large_timestamp(self, tcp_packet, tmp_path):
         tcp_packet.timestamp = 1_700_000_000.123456  # > 2^32 microseconds
         path = tmp_path / "big_ts.pcapng"
-        write_pcapng(path, [tcp_packet])
-        back = read_pcapng(path)
+        path.write_bytes(pcapng_bytes([tcp_packet]))
+        back = read_capture(path)
         assert back[0].timestamp == pytest.approx(1_700_000_000.123456,
                                                   abs=1e-5)
 
@@ -71,9 +86,12 @@ class TestRoundtrip:
         a = tmp_path / "x.pcap"
         b = tmp_path / "x.pcapng"
         write_pcap(a, sample_flow.packets)
-        write_pcapng(b, sample_flow.packets)
-        assert len(read_capture(a)) == len(sample_flow)
-        assert len(read_capture(b)) == len(sample_flow)
+        b.write_bytes(pcapng_bytes(sample_flow.packets))
+        from_pcap = read_capture(a)
+        from_pcapng = read_capture(b)
+        assert len(from_pcap) == len(from_pcapng) == len(sample_flow)
+        assert [p.to_bytes() for p in from_pcap] == \
+            [p.to_bytes() for p in from_pcapng]
 
 
 class TestReaderRobustness:
@@ -88,75 +106,72 @@ class TestReaderRobustness:
             PcapngReader(io.BytesIO(blob))
 
     def test_truncated_block_rejected(self, tcp_packet):
-        buf = io.BytesIO()
-        PcapngWriter(buf).write_packet(tcp_packet)
-        blob = buf.getvalue()[:-6]
+        blob = pcapng_bytes([tcp_packet])[:-6]
         with pytest.raises(PcapngError):
-            list(PcapngReader(io.BytesIO(blob)))
+            read(blob)
 
     def test_trailer_mismatch_rejected(self, tcp_packet):
-        buf = io.BytesIO()
-        PcapngWriter(buf).write_packet(tcp_packet)
-        blob = bytearray(buf.getvalue())
+        blob = bytearray(pcapng_bytes([tcp_packet]))
         blob[-1] ^= 0xFF  # corrupt the final trailing length
         with pytest.raises(PcapngError):
-            list(PcapngReader(io.BytesIO(bytes(blob))))
+            read(bytes(blob))
 
     def test_unknown_blocks_skipped(self, tcp_packet):
-        buf = io.BytesIO()
-        w = PcapngWriter(buf)
         # Custom block (type 0x0BAD) between IDB and EPB.
-        w._write_block(0x0BAD, b"\x01\x02\x03\x04")
-        w.write_packet(tcp_packet)
-        buf.seek(0)
-        assert len(list(PcapngReader(buf))) == 1
+        blob = (section() + block(0x0BAD, b"\x01\x02\x03\x04")
+                + epb(tcp_packet.to_bytes(), 0))
+        assert len(read(blob)) == 1
 
     def test_epb_unknown_interface_rejected(self):
-        buf = io.BytesIO()
-        w = PcapngWriter(buf)
-        # Hand-write an EPB pointing at interface 7.
-        body = struct.pack("<IIIII", 7, 0, 0, 4, 4) + b"\x45\x00\x00\x04"
-        w._write_block(EPB_TYPE, body)
-        buf.seek(0)
+        blob = section() + epb(b"\x45\x00\x00\x04", 0, interface=7)
         with pytest.raises(PcapngError):
-            list(PcapngReader(buf))
+            read(blob)
 
     def test_big_endian_section(self, tcp_packet):
-        wire = tcp_packet.to_bytes()
-
-        def block(block_type, body, endian=">"):
-            total = 12 + len(body) + (4 - len(body) % 4) % 4
-            return (struct.pack(endian + "II", block_type, total) + body
-                    + b"\x00" * ((4 - len(body) % 4) % 4)
-                    + struct.pack(endian + "I", total))
-
-        shb = block(SHB_TYPE,
-                    struct.pack(">IHHq", BYTE_ORDER_MAGIC, 1, 0, -1))
-        idb = block(IDB_TYPE, struct.pack(">HHI", 101, 0, 65535))
-        epb = block(EPB_TYPE,
-                    struct.pack(">IIIII", 0, 0, 1_500_000,
-                                len(wire), len(wire)) + wire)
-        pkts = list(PcapngReader(io.BytesIO(shb + idb + epb)))
+        blob = (section(">")
+                + epb(tcp_packet.to_bytes(), 1_500_000, endian=">"))
+        pkts = read(blob)
         assert len(pkts) == 1
         assert pkts[0].timestamp == pytest.approx(1.5)
 
     def test_nanosecond_tsresol(self, tcp_packet):
-        wire = tcp_packet.to_bytes()
+        blob = (section(tsresol=9)
+                + epb(tcp_packet.to_bytes(), 2_500_000_000))  # 2.5 s in ns
+        assert read(blob)[0].timestamp == pytest.approx(2.5)
 
-        def block(block_type, body):
-            pad = (4 - len(body) % 4) % 4
-            total = 12 + len(body) + pad
-            return (struct.pack("<II", block_type, total) + body
-                    + b"\x00" * pad + struct.pack("<I", total))
 
-        shb = block(SHB_TYPE,
-                    struct.pack("<IHHq", BYTE_ORDER_MAGIC, 1, 0, -1))
-        # if_tsresol = 9 (nanoseconds).
-        options = struct.pack("<HHB3x", 9, 1, 9) + struct.pack("<HH", 0, 0)
-        idb = block(IDB_TYPE, struct.pack("<HHI", 101, 0, 65535) + options)
-        ts = 2_500_000_000  # 2.5 s in ns
-        epb = block(EPB_TYPE,
-                    struct.pack("<IIIII", 0, ts >> 32, ts & 0xFFFFFFFF,
-                                len(wire), len(wire)) + wire)
-        pkts = list(PcapngReader(io.BytesIO(shb + idb + epb)))
-        assert pkts[0].timestamp == pytest.approx(2.5)
+class TestCliCaptures:
+    def test_stats_reads_pcapng(self, sample_flow, tmp_path, capsys):
+        path = tmp_path / "capture.pcapng"
+        path.write_bytes(pcapng_bytes(sample_flow.packets))
+        assert main(["stats", "--in", str(path)]) == 0
+        assert "packets: 5   flows: 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suffix", ["pcap", "pcapng"])
+    def test_truncated_capture_is_an_error(self, sample_flow, tmp_path,
+                                           capsys, suffix):
+        path = tmp_path / f"capture.{suffix}"
+        if suffix == "pcap":
+            write_pcap(path, sample_flow.packets)
+        else:
+            path.write_bytes(pcapng_bytes(sample_flow.packets))
+        path.write_bytes(path.read_bytes()[:-6])
+        assert main(["stats", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated pcap")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("suffix", ["pcap", "pcapng"])
+    def test_malformed_packet_record_is_an_error(self, tmp_path, capsys,
+                                                 suffix):
+        """A whole record that holds no valid IPv4 header."""
+        record = b"\x45" + b"\x00" * 7
+        path = tmp_path / f"capture.{suffix}"
+        if suffix == "pcap":
+            with open(path, "wb") as f:
+                PcapWriter(f).write_raw(record, 1.0)
+        else:
+            path.write_bytes(section() + epb(record, 1_000_000))
+        assert main(["stats", "--in", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: malformed packet record")

@@ -84,6 +84,14 @@ class TestGeneration:
         with pytest.raises(ValueError):
             fitted.generate("netflix", 0)
 
+    def test_zero_steps_raises(self, fitted):
+        """``steps=0`` is out of range, not a request for the default."""
+        with pytest.raises(ValueError, match="steps"):
+            fitted.generate_raw("netflix", 1, steps=0)
+        with pytest.raises(ValueError, match="steps"):
+            fitted.generate_coalesced(
+                "netflix", [(1, np.random.default_rng(0))], steps=0)
+
     def test_protocol_compliance_tcp_class(self, fitted):
         flows = fitted.generate("netflix", 8)
         protos = [p.ip.proto for f in flows for p in f.packets]
@@ -105,11 +113,12 @@ class TestGeneration:
     def test_reproducible_with_seeded_rng(self, fitted):
         a = fitted.generate_raw("netflix", 2, rng=np.random.default_rng(3))
         b = fitted.generate_raw("netflix", 2, rng=np.random.default_rng(3))
-        assert np.allclose(a.continuous, b.continuous)
+        assert np.array_equal(a.matrices, b.matrices)
+        assert np.array_equal(a.gaps, b.gaps)
 
     def test_generation_result_artefacts(self, fitted):
         res = fitted.generate_raw("teams", 3)
-        assert res.continuous.shape == (3, 12, 1088)
+        assert res.matrices.shape == (3, 12, 1088)
         assert res.gaps.shape == (3, 12)
         assert (res.gaps >= 0).all()
         assert res.label == "teams"
@@ -144,10 +153,16 @@ class TestGeneration:
             assert ts == sorted(ts)
 
 
-def _guided_chain(result, mask) -> np.ndarray:
-    """The reference hard-guidance finalize of a result's continuous output."""
+def _guided_chain(pipe, class_name, n, seed, mask) -> np.ndarray:
+    """The reference hard-guidance finalize of
+    ``generate_raw(class_name, n, rng=default_rng(seed))``: the same
+    latents, decoded to continuous matrices, then guidance, quantisation
+    and repair as separate passes."""
+    latents = pipe.sample_latents(class_name, n,
+                                  rng=np.random.default_rng(seed))
+    continuous, _ = pipe._devectorize(pipe.codec.decode(latents))
     return repair_matrix(quantize_matrix(
-        apply_structure_guidance(result.continuous, mask)))
+        apply_structure_guidance(continuous, mask)))
 
 
 class TestMaskCompiledFinalize:
@@ -166,19 +181,22 @@ class TestMaskCompiledFinalize:
 
         first = fitted.generate_raw("netflix", 3,
                                     rng=np.random.default_rng(0))
-        assert np.array_equal(first.matrices, _guided_chain(first, old))
+        assert np.array_equal(first.matrices,
+                              _guided_chain(fitted, "netflix", 3, 0, old))
         before = {dtype: latents(dtype) for dtype in dtypes}
         fitted.class_masks["netflix"] = new
         try:
             again = fitted.generate_raw("netflix", 3,
                                         rng=np.random.default_rng(0))
+            follows_new = _guided_chain(fitted, "netflix", 3, 0, new)
+            follows_old = _guided_chain(fitted, "netflix", 3, 0, old)
             swapped = {dtype: latents(dtype) for dtype in dtypes}
             fitted._invalidate_engines()
             fresh = {dtype: latents(dtype) for dtype in dtypes}
         finally:
             fitted.class_masks["netflix"] = old
-        assert np.array_equal(again.matrices, _guided_chain(again, new))
-        assert not np.array_equal(again.matrices, _guided_chain(again, old))
+        assert np.array_equal(again.matrices, follows_new)
+        assert not np.array_equal(again.matrices, follows_old)
         for dtype in dtypes:
             # The swapped-in mask conditions the sampler exactly as it
             # does on a freshly compiled engine.
@@ -193,14 +211,20 @@ class TestMaskCompiledFinalize:
             save_pipeline(fitted, tmp_path / "b.npz")
         finally:
             fitted.class_masks["netflix"] = old
-        first = load_pipeline(tmp_path / "a.npz").generate_raw("netflix", 3)
-        assert np.array_equal(first.matrices, _guided_chain(first, old))
+        before = load_pipeline(tmp_path / "a.npz")
+        first = before.generate_raw("netflix", 3,
+                                    rng=np.random.default_rng(0))
+        assert np.array_equal(first.matrices,
+                              _guided_chain(before, "netflix", 3, 0, old))
         loaded = load_pipeline(tmp_path / "b.npz")
         new = loaded.class_masks["netflix"]
         assert not np.array_equal(new, old)
-        again = loaded.generate_raw("netflix", 3)
-        assert np.array_equal(again.matrices, _guided_chain(again, new))
-        assert not np.array_equal(again.matrices, _guided_chain(again, old))
+        again = loaded.generate_raw("netflix", 3,
+                                    rng=np.random.default_rng(0))
+        assert np.array_equal(again.matrices,
+                              _guided_chain(loaded, "netflix", 3, 0, new))
+        assert not np.array_equal(again.matrices,
+                                  _guided_chain(loaded, "netflix", 3, 0, old))
 
 
 class TestAddClass:
@@ -228,9 +252,9 @@ class TestAddClass:
         assert all(f.label == "zoom" for f in flows)
         assert all(len(f) > 0 for f in flows)
         # Its hard-guided output follows the mask add_class assigned.
-        zoom = fitted.generate_raw("zoom", 3)
-        assert np.array_equal(
-            zoom.matrices, _guided_chain(zoom, fitted.class_masks["zoom"]))
+        zoom = fitted.generate_raw("zoom", 3, rng=np.random.default_rng(0))
+        assert np.array_equal(zoom.matrices, _guided_chain(
+            fitted, "zoom", 3, 0, fitted.class_masks["zoom"]))
         # Old classes still work.
         old = fitted.generate("netflix", 2)
         assert all(len(f) > 0 for f in old)

@@ -17,7 +17,6 @@ import repro
 from repro import perf
 from repro.core.pipeline import PipelineConfig, TextToTrafficPipeline
 from repro.core.serialization import (
-    clear_pipeline_cache,
     dataset_fingerprint,
     fit_or_load,
     pipeline_cache_key,
@@ -104,14 +103,6 @@ class TestCacheMechanics:
         key = pipeline_cache_key(_config(), flows)
         assert (cache["dir"] / f"pipeline-{key}.npz").exists()
         assert len(list(cache["dir"].glob("pipeline-*.npz"))) == 1
-
-    def test_clear_pipeline_cache(self, tmp_path, flows):
-        fit_or_load(_config(train_steps=2, controlnet_steps=2), flows[:4],
-                    cache_dir=tmp_path)
-        assert clear_pipeline_cache(tmp_path) == 1
-        assert not list(tmp_path.glob("pipeline-*.npz"))
-        assert clear_pipeline_cache(tmp_path) == 0
-        assert clear_pipeline_cache(tmp_path / "missing") == 0
 
 
 class TestCacheKey:
@@ -238,3 +229,69 @@ class TestSessionCacheDirPlumbing:
                 ):
                     imported.update(alias.name for alias in node.names)
         assert sorted(set(nn.__all__) - imported) == []
+
+    def test_every_package_export_is_reached(self):
+        """Each subpackage ``__all__`` name is used by some entry point.
+
+        A name counts as reached when a module under ``src/repro``,
+        ``examples/`` or ``benchmarks/`` refers to it (a load, an
+        attribute or an import) outside every package ``__init__.py`` and
+        outside the name's own top-level definition.  An export nothing
+        refers to is code that only its tests run.
+        """
+        src = Path(repro.__file__).parent
+        repo = src.parent.parent
+        exports = {}
+        for init in src.rglob("__init__.py"):
+            if init.parent == src:
+                continue
+            for node in ast.parse(init.read_text(), str(init)).body:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets
+                ):
+                    for name in ast.literal_eval(node.value):
+                        exports.setdefault(name, []).append(
+                            str(init.relative_to(src)))
+
+        def own_definitions(tree):
+            spans = []
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets
+                             if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign):
+                    names = [node.target.id]
+                else:
+                    continue
+                spans += [(name, node.lineno, node.end_lineno)
+                          for name in names]
+            return spans
+
+        reached = set()
+        for root in (src, repo / "examples", repo / "benchmarks"):
+            for path in root.rglob("*.py"):
+                if path.name == "__init__.py":
+                    continue
+                tree = ast.parse(path.read_text(), str(path))
+                spans = own_definitions(tree)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Name) and isinstance(
+                            node.ctx, ast.Load):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    elif isinstance(node, ast.alias):
+                        name = node.name
+                    else:
+                        continue
+                    line = getattr(node, "lineno", 0)
+                    if name in exports and not any(
+                        name == own and start <= line <= end
+                        for own, start, end in spans
+                    ):
+                        reached.add(name)
+        assert {name: where for name, where in exports.items()
+                if name not in reached} == {}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.controlnet import apply_structure_guidance, protocol_mask
+from repro.core.controlnet import apply_structure_guidance
 from repro.core.postprocess import (
     channel_to_gaps,
     gaps_to_channel,
@@ -16,7 +16,7 @@ from repro.nprint.decoder import decode_packet, infer_transport
 from repro.nprint.encoder import encode_flow, encode_packet
 from repro.nprint.fields import NPRINT_BITS, REGION_SLICES, VACANT
 
-from postprocess_oracle import repair_row_structure
+from postprocess_oracle import protocol_mask, repair_row_structure
 
 
 class TestGapChannel:

@@ -11,12 +11,7 @@ from repro.net.headers import TCPFlags, TCPHeader, UDPHeader
 from repro.net.packet import build_packet
 from repro.net.replay import ReplayEngine
 from repro.traffic.apps import generate_flow
-from repro.traffic.conditions import (
-    apply_jitter,
-    apply_latency,
-    apply_loss,
-    apply_throttle,
-)
+from repro.traffic.conditions import apply_throttle
 from repro.traffic.profiles import MICRO_LABELS, PROFILES
 from repro.traffic.sessions import CLIENT, SERVER, DataEvent, Endpoints
 from repro.traffic.vpn import VPNTunnel, tunnel_payload_length
@@ -109,30 +104,6 @@ class TestStateRepairProperties:
 
 class TestConditionProperties:
     @given(seed=st.integers(0, 100),
-           delay=st.floats(min_value=0, max_value=2.0, allow_nan=False))
-    @SETTINGS
-    def test_latency_never_reorders_within_direction(self, seed, delay):
-        rng = np.random.default_rng(seed)
-        flow = generate_flow(PROFILES["twitter"], rng, _endpoints(seed))
-        out = apply_latency(flow, delay)
-        client = flow.packets[0].ip.src_ip
-        for side in (True, False):
-            ts = [p.timestamp for p in out.packets
-                  if (p.ip.src_ip == client) == side]
-            assert ts == sorted(ts)
-
-    @given(seed=st.integers(0, 100),
-           rate=st.floats(min_value=0, max_value=0.9, allow_nan=False))
-    @SETTINGS
-    def test_loss_is_subset(self, seed, rate):
-        rng = np.random.default_rng(seed)
-        flow = generate_flow(PROFILES["twitter"], rng, _endpoints(seed))
-        out = apply_loss(flow, rate, np.random.default_rng(seed))
-        assert len(out) <= len(flow)
-        survivors = set(map(id, out.packets))
-        assert survivors <= set(map(id, flow.packets))
-
-    @given(seed=st.integers(0, 100),
            cap=st.floats(min_value=1e4, max_value=1e8, allow_nan=False))
     @SETTINGS
     def test_throttle_never_speeds_up(self, seed, cap):
@@ -141,15 +112,6 @@ class TestConditionProperties:
         out = apply_throttle(flow, cap)
         for a, b in zip(flow.packets, out.packets):
             assert b.timestamp >= a.timestamp - 1e-12
-
-    @given(seed=st.integers(0, 100),
-           std=st.floats(min_value=0, max_value=0.1, allow_nan=False))
-    @SETTINGS
-    def test_jitter_keeps_all_packets(self, seed, std):
-        rng = np.random.default_rng(seed)
-        flow = generate_flow(PROFILES["twitter"], rng, _endpoints(seed))
-        out = apply_jitter(flow, std, np.random.default_rng(seed))
-        assert len(out) == len(flow)
 
 
 class TestVPNProperties:

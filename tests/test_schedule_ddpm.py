@@ -5,42 +5,35 @@ import pytest
 
 from repro.core.ddim import DDIMSampler, ddim_timesteps
 from repro.core.ddpm import GaussianDiffusion
-from repro.core.schedule import NoiseSchedule, cosine_betas, linear_betas
+from repro.core.schedule import NoiseSchedule, cosine_betas
+
+
+def _linear(timesteps: int) -> NoiseSchedule:
+    """The DDPM linear schedule (Ho et al., 2020) as an explicit beta list."""
+    return NoiseSchedule(np.linspace(1e-4, 0.02, timesteps))
 
 
 class TestSchedules:
-    def test_linear_endpoints(self):
-        betas = linear_betas(100, 1e-4, 0.02)
-        assert betas[0] == pytest.approx(1e-4)
-        assert betas[-1] == pytest.approx(0.02)
-        assert len(betas) == 100
-
     def test_cosine_in_range(self):
         betas = cosine_betas(100)
         assert (betas >= 0).all() and (betas <= 0.999).all()
 
     def test_invalid_timesteps(self):
         with pytest.raises(ValueError):
-            linear_betas(0)
-        with pytest.raises(ValueError):
             cosine_betas(0)
 
     def test_alpha_bars_monotone_decreasing(self):
-        for schedule in (NoiseSchedule.linear(50), NoiseSchedule.cosine(50)):
+        for schedule in (_linear(50), NoiseSchedule.cosine(50)):
             diffs = np.diff(schedule.alpha_bars)
             assert (diffs < 0).all()
             assert 0 < schedule.alpha_bars[-1] < schedule.alpha_bars[0] < 1
 
     def test_derived_quantities_consistent(self):
-        s = NoiseSchedule.linear(20)
+        s = _linear(20)
         assert np.allclose(s.alphas, 1 - s.betas)
         assert np.allclose(s.sqrt_alpha_bars ** 2, s.alpha_bars)
         assert np.allclose(
             s.sqrt_one_minus_alpha_bars ** 2, 1 - s.alpha_bars)
-
-    def test_posterior_variance_nonnegative(self):
-        s = NoiseSchedule.cosine(100)
-        assert (s.posterior_variance >= 0).all()
 
     def test_invalid_betas_rejected(self):
         with pytest.raises(ValueError):
@@ -54,7 +47,7 @@ class TestSchedules:
 class TestGaussianDiffusion:
     @pytest.fixture
     def diffusion(self):
-        return GaussianDiffusion(NoiseSchedule.linear(100))
+        return GaussianDiffusion(_linear(100))
 
     def test_q_sample_t0_close_to_x0(self, diffusion, rng):
         x0 = rng.normal(size=(8, 4))
@@ -93,28 +86,6 @@ class TestGaussianDiffusion:
         assert noise.shape == (16, 4)
         assert (t >= 0).all() and (t < 100).all()
 
-    def test_oracle_sampler_recovers_point_mass(self, rng):
-        """With the exact eps oracle for a point mass at mu, ancestral
-        sampling should land near mu."""
-        mu = np.array([2.0, -1.0])
-        schedule = NoiseSchedule.linear(200)
-        diffusion = GaussianDiffusion(schedule)
-
-        def oracle(x_t, t):
-            ab = schedule.alpha_bars[t].reshape(-1, 1)
-            return (x_t - np.sqrt(ab) * mu) / np.sqrt(1 - ab)
-
-        samples = diffusion.sample(oracle, (200, 2), rng)
-        assert np.allclose(samples.mean(axis=0), mu, atol=0.15)
-        assert samples.std(axis=0).max() < 0.3
-
-    def test_sample_callback_invoked(self, rng):
-        diffusion = GaussianDiffusion(NoiseSchedule.linear(10))
-        seen = []
-        diffusion.sample(lambda x, t: np.zeros_like(x), (1, 2), rng,
-                         callback=lambda t, x: seen.append(t))
-        assert seen == list(range(9, -1, -1))
-
 
 class TestDDIM:
     def test_timestep_subsequence(self):
@@ -133,13 +104,9 @@ class TestDDIM:
         with pytest.raises(ValueError):
             ddim_timesteps(10, 11)
 
-    def test_negative_eta_rejected(self):
-        with pytest.raises(ValueError):
-            DDIMSampler(GaussianDiffusion(NoiseSchedule.linear(10)), eta=-1)
-
     def test_oracle_recovers_point_mass_few_steps(self, rng):
         mu = np.array([1.5, -0.5])
-        schedule = NoiseSchedule.linear(200)
+        schedule = _linear(200)
         diffusion = GaussianDiffusion(schedule)
 
         def oracle(x_t, t):
@@ -151,16 +118,16 @@ class TestDDIM:
         assert np.allclose(samples.mean(axis=0), mu, atol=0.2)
 
     def test_deterministic_with_eta_zero(self, rng):
-        schedule = NoiseSchedule.linear(50)
+        schedule = _linear(50)
         diffusion = GaussianDiffusion(schedule)
         eps = lambda x, t: x * 0.1
-        sampler = DDIMSampler(diffusion, eta=0.0)
+        sampler = DDIMSampler(diffusion)
         a = sampler.sample(eps, (4, 3), np.random.default_rng(7), steps=5)
         b = sampler.sample(eps, (4, 3), np.random.default_rng(7), steps=5)
         assert np.allclose(a, b)
 
     def test_fewer_steps_fewer_model_calls(self, rng):
-        schedule = NoiseSchedule.linear(100)
+        schedule = _linear(100)
         diffusion = GaussianDiffusion(schedule)
         calls = []
 

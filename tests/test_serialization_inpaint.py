@@ -59,7 +59,7 @@ class TestSerialization:
                                 rng=np.random.default_rng(42))
         b = loaded.generate_raw("netflix", 3,
                                 rng=np.random.default_rng(42))
-        assert np.allclose(a.continuous, b.continuous)
+        assert np.array_equal(a.matrices, b.matrices)
         assert [len(f) for f in a.flows] == [len(f) for f in b.flows]
 
     def test_roundtrip_preserves_metadata(self, fitted, tmp_path):
@@ -108,11 +108,39 @@ class TestSerialization:
             "netflix", 3, rng=np.random.default_rng(42))
         b = load_pipeline(older).generate_raw(
             "netflix", 3, rng=np.random.default_rng(42))
-        assert np.array_equal(a.continuous, b.continuous)
+        assert np.array_equal(a.matrices, b.matrices)
         datas_a, stamps_a = render_flows(a.flows)
         datas_b, stamps_b = render_flows(b.flows)
         assert list(datas_a) == list(datas_b)
         assert np.array_equal(stamps_a, stamps_b)
+
+    def test_retired_schedule_key_loads_to_the_same_bytes(
+        self, fitted, tmp_path
+    ):
+        """Archives from before the schedule knob was removed carry
+        ``schedule: "cosine"`` in their config, the only schedule there
+        is; they load and generate byte-identically."""
+        path = tmp_path / "pipeline.npz"
+        older = tmp_path / "older.npz"
+        save_pipeline(fitted, path)
+        _rewrite_meta(path, older, lambda meta: meta["config"].update(
+            schedule="cosine"))
+        a = load_pipeline(path).generate_raw(
+            "netflix", 3, rng=np.random.default_rng(42))
+        b = load_pipeline(older).generate_raw(
+            "netflix", 3, rng=np.random.default_rng(42))
+        datas_a, stamps_a = render_flows(a.flows)
+        datas_b, stamps_b = render_flows(b.flows)
+        assert list(datas_a) == list(datas_b)
+        assert np.array_equal(stamps_a, stamps_b)
+
+    def test_linear_schedule_archive_rejected(self, fitted, tmp_path):
+        path = tmp_path / "pipeline.npz"
+        save_pipeline(fitted, path)
+        _rewrite_meta(path, path, lambda meta: meta["config"].update(
+            schedule="linear"))
+        with pytest.raises(ValueError, match="linear"):
+            load_pipeline(path)
 
     def test_unknown_config_key_rejected(self, fitted, tmp_path):
         path = tmp_path / "pipeline.npz"
@@ -151,6 +179,13 @@ class TestDeblurring:
         with pytest.raises(ValueError):
             deblurrer.deblur(good, np.zeros((3, NPRINT_BITS), dtype=bool),
                              "netflix")
+
+    def test_zero_steps_rejected(self, fitted):
+        matrix = np.zeros((12, NPRINT_BITS), dtype=np.int8)
+        with pytest.raises(ValueError, match="steps"):
+            TrafficDeblurrer(fitted).deblur(
+                matrix, np.zeros(matrix.shape, dtype=bool), "netflix",
+                steps=0)
 
     def test_observed_region_bit_exact(self, fitted):
         flow = generate_app_flows("netflix", 1, seed=77)[0]

@@ -409,6 +409,17 @@ class TestHTTP:
         assert next(iter(fields)) in json.loads(err.value.read())["error"]
         assert service.pending() == 0
 
+    def test_steps_above_model_timesteps_is_400(self, fitted, server):
+        """The bound depends on the model the request resolves to, so it
+        is checked when the request is served, and answers 400, not 500."""
+        _, url = server
+        steps = fitted.config.timesteps + 1
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(url, {"class": "netflix", "request_id": 3,
+                        "steps": steps}, timeout=60)
+        assert err.value.code == 400
+        assert "steps" in json.loads(err.value.read())["error"]
+
     @pytest.mark.parametrize("body", [b"[1]", b"3", b'"x"', b"null"])
     def test_non_object_json_is_400(self, server, body):
         _, url = server

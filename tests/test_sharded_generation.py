@@ -119,7 +119,6 @@ class TestShardedGeneration:
             assert len(results) == 1
             result = results[0]
             assert result.matrices is None
-            assert result.continuous is None
             assert result.gaps is None
             assert result.flows.matrices is None
             assert len(result.flows) == 8

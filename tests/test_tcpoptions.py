@@ -1,6 +1,7 @@
-"""Unit tests for TCP option parsing/building + doctest sweep."""
+"""Unit tests for TCP option parsing + doctest sweep."""
 
 import doctest
+import struct
 
 import pytest
 
@@ -8,37 +9,27 @@ from repro.net.tcpoptions import (
     TCPOption,
     TCPOptionError,
     TCPOptionKind,
-    build_mss,
-    build_timestamps,
-    build_window_scale,
     find_option,
     parse_tcp_options,
 )
 
 
-class TestBuilders:
-    def test_mss(self):
-        raw = build_mss(1460)
-        assert raw == b"\x02\x04\x05\xb4"
-        with pytest.raises(ValueError):
-            build_mss(2**16)
+def _mss(mss):
+    return struct.pack(">BBH", TCPOptionKind.MSS, 4, mss)
 
-    def test_window_scale(self):
-        assert build_window_scale(7) == b"\x03\x03\x07"
-        with pytest.raises(ValueError):
-            build_window_scale(15)
 
-    def test_timestamps(self):
-        raw = build_timestamps(100, 200)
-        assert raw[:2] == b"\x08\x0a"
-        with pytest.raises(ValueError):
-            build_timestamps(2**32, 0)
+def _window_scale(shift):
+    return struct.pack(">BBB", TCPOptionKind.WINDOW_SCALE, 3, shift)
+
+
+def _timestamps(tsval, tsecr):
+    return struct.pack(">BBII", TCPOptionKind.TIMESTAMPS, 10, tsval, tsecr)
 
 
 class TestParse:
     def test_parse_composite(self):
-        raw = build_mss(1412) + b"\x01" + build_window_scale(7) \
-            + b"\x01\x01" + build_timestamps(42, 0)
+        raw = _mss(1412) + b"\x01" + _window_scale(7) \
+            + b"\x01\x01" + _timestamps(42, 0)
         options = parse_tcp_options(raw)
         kinds = [o.kind for o in options]
         assert kinds == [TCPOptionKind.MSS, TCPOptionKind.WINDOW_SCALE,
@@ -48,7 +39,7 @@ class TestParse:
         assert options[2].timestamps == (42, 0)
 
     def test_eol_terminates(self):
-        raw = build_mss(100) + b"\x00" + build_mss(999)
+        raw = _mss(100) + b"\x00" + _mss(999)
         options = parse_tcp_options(raw)
         assert len(options) == 1
         assert options[0].mss == 100
@@ -59,7 +50,7 @@ class TestParse:
 
     def test_malformed_lenient(self):
         # Length byte runs past the buffer: lenient mode stops quietly.
-        raw = build_mss(5) + b"\x08\x0a\x00"
+        raw = _mss(5) + b"\x08\x0a\x00"
         options = parse_tcp_options(raw)
         assert len(options) == 1
 
@@ -72,7 +63,7 @@ class TestParse:
             parse_tcp_options(b"\x02\x01", strict=True)  # length < 2
 
     def test_find_option(self):
-        raw = b"\x01" + build_mss(536)
+        raw = b"\x01" + _mss(536)
         found = find_option(raw, TCPOptionKind.MSS)
         assert found is not None and found.mss == 536
         assert find_option(raw, TCPOptionKind.SACK) is None

@@ -13,7 +13,6 @@ from repro.traffic.dataset import (
     scaled_counts,
 )
 from repro.traffic.profiles import (
-    MACRO_LABELS,
     MICRO_LABELS,
     PROFILES,
     MacroService,
@@ -42,7 +41,7 @@ class TestProfiles:
         assert len(MICRO_LABELS) == 11
 
     def test_four_macro_services(self):
-        assert len(MACRO_LABELS) == 4
+        assert len({PROFILES[m].macro for m in MICRO_LABELS}) == 4
 
     def test_table1_counts_match_paper(self):
         counts = table1_counts()
